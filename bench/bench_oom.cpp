@@ -8,8 +8,8 @@
 // counts brk plus private *writable* anonymous mappings — exactly what the
 // heap copies of a materialized load are made of — but NOT the read-only
 // MAP_PRIVATE file mapping the borrowed graph reads through. The borrowed
-// graph's only heap is its overlay (dirty adjacency pool + edge delta),
-// which is O(touched set), not O(graph).
+// graph's only heap is its overlay (dirty adjacency pool + toggled edge
+// keys, O(touched set)) plus, once written, a 4 B-per-id slot index.
 //
 // Protocol (single process, so both attempts share one machine state):
 //   1. uncapped: build G(n, m) at --deg, save the snapshot, precompute the

@@ -41,8 +41,9 @@
 //                     first real query (degree + adjacency walk + edge
 //                     probe, answered off the mapping) — "directory on
 //                     disk" to "first answer" with no O(n + m) copy,
-//   borrow_first_op_s the first mutation (a churn toggle): copy-on-write
-//                     migration of two adjacency records + delta insert,
+//   borrow_first_op_s the first mutation (a churn toggle): sizing the
+//                     overlay's slot index (4 B per id, zeroed), copy-on-write
+//                     migration of two adjacency records + toggle insert,
 //   borrow_speedup    load_s / borrow_open_s. Acceptance bar: >= 10 at
 //                     n = 1e6 (gated by scripts/check_bench.py).
 // The borrowed graph is compared to the original outside the timed region.
@@ -99,7 +100,7 @@ struct Result {
   // Borrowed (zero-copy) columns, measured rep-interleaved with load_s so
   // the ratio compares within one machine state:
   double borrow_open_s = 0;      // shallow open + borrow + first query
-  double borrow_first_op_s = 0;  // first mutation (copy-on-write + delta)
+  double borrow_first_op_s = 0;  // first mutation (index + copy-on-write + toggle)
   double borrow_speedup = 0;     // load_s / borrow_open_s
   double engine_cold_s = 0;  // open + cold engine start (fresh keys + greedy)
   double engine_warm_s = 0;  // open + warm engine start (persisted state)
@@ -250,8 +251,9 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
         std::chrono::duration<double>(Clock::now() - t_borrow).count();
     if (rep == 0 || borrow_open < r.borrow_open_s) r.borrow_open_s = borrow_open;
 
-    // First mutation: a churn toggle on the probe vertex — copy-on-write
-    // migration of two adjacency records plus one delta-table insert.
+    // First mutation: a churn toggle on the probe vertex — the slot index
+    // sized to id_bound, copy-on-write migration of two adjacency records,
+    // and one toggle-set insert.
     const NodeId nbr = b.neighbors(probe)[0];
     const auto t_op = Clock::now();
     if (!b.remove_edge(probe, nbr) || !b.add_edge(probe, nbr)) {

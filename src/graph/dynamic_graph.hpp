@@ -31,18 +31,20 @@
 //     per-byte work until a page is actually touched — so graphs larger
 //     than RAM page on demand. Copy-on-write is at adjacency-record
 //     granularity: a node's record (and overflow list) migrates to the heap
-//     pool on first mutation and is found through the `dirty_` index from
-//     then on; clean nodes keep reading the mapping forever. The edge table
-//     is layered: a heap delta FlatSet (`edges_`) holds inserted keys, a
-//     second FlatSet (`removed_edges_`) holds deleted base keys, and the
-//     verbatim mapped table is probed zero-copy (FlatSet::probe_raw)
-//     underneath. Invariant: a key is in at most one of {delta, removed},
-//     and the delta never contains a key present in the base — so
-//     membership is `delta ∨ (base ∧ ¬removed)` and steady-state churn on a
-//     warmed overlay is allocation-free (tombstone reuse in both deltas,
-//     FlatMap hits in the dirty index). Checkpoint write-back merges the
-//     overlay onto the base (merged_edge_set + the public accessors), and
-//     copies of a borrowed graph share the mapping (shared_ptr base).
+//     pool on first mutation. A dense u32 index by node id (`slot_index_`,
+//     pool slot + 1, 0 = clean) routes every later touch to the pool in one
+//     load; clean nodes keep reading the mapping forever. The index is
+//     sized to id_bound() on the first write (4 B per id), not at open, and
+//     an id past its end reads as clean. The edge table is one heap FlatSet
+//     of *toggled* keys (`edges_`) over the verbatim mapped table, which is
+//     probed zero-copy (FlatSet::probe_raw): an edge is present iff
+//     `base XOR toggled`, so a toggled base key is a removal and any other
+//     toggled key an insertion. Every add_edge/remove_edge is one base
+//     probe plus one insert-or-erase in the toggle set, and steady-state
+//     churn on a warmed overlay is allocation-free (tombstone reuse in the
+//     toggle set, plain loads in the index). Checkpoint write-back merges
+//     the overlay onto the base (merged_edge_set + the public accessors),
+//     and copies of a borrowed graph share the mapping (shared_ptr base).
 //
 // Node identifiers are dense indices assigned in insertion order and never
 // reused, so a NodeId is a stable handle for priorities, histories and
@@ -59,7 +61,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/flat_map.hpp"
 #include "util/flat_set.hpp"
 
 namespace dmis::graph {
@@ -114,7 +115,7 @@ class DynamicGraph {
 
   /// Pre-size the edge table so `expected_edges` fit without rehashing
   /// (steady-state churn then never allocates in the edge set). In borrowed
-  /// mode this sizes the *delta* table — pass the expected overlay working
+  /// mode this sizes the *toggle* table — pass the expected overlay working
   /// set, not the base edge count.
   void reserve_edges(std::size_t expected_edges) { edges_.reserve(expected_edges); }
 
@@ -126,7 +127,7 @@ class DynamicGraph {
     adjacency_.emplace_back();
     adjacency_.back().alive = 1;
     overflow_.emplace_back();
-    if (borrowed()) dirty_.ref(id) = slot;  // appended ids route via the index
+    if (borrowed()) route(id, slot);  // appended ids route via the index
     ++node_count_;
     return id;
   }
@@ -146,14 +147,9 @@ class DynamicGraph {
     DMIS_ASSERT(has_node(u) && has_node(v));
     DMIS_ASSERT_MSG(u != v, "self-loops are not part of the model");
     const std::uint64_t key = edge_key(u, v);
-    if (borrowed()) {
-      if (removed_edges_.contains(key)) {
-        (void)removed_edges_.erase(key);  // re-adding a removed base edge
-      } else if (base_has_edge(key)) {
-        return false;
-      } else if (!edges_.insert(key)) {
-        return false;
-      }
+    if (borrowed() && base_has_edge(key)) {
+      if (!edges_.erase(key)) return false;  // re-adding a removed base edge
+      --removed_count_;
     } else if (!edges_.insert(key)) {
       return false;
     }
@@ -165,14 +161,9 @@ class DynamicGraph {
   /// Remove edge {u, v}; returns false if it was absent.
   bool remove_edge(NodeId u, NodeId v) {
     const std::uint64_t key = edge_key(u, v);
-    if (borrowed()) {
-      if (edges_.erase(key)) {
-        // delta edge gone
-      } else if (!removed_edges_.contains(key) && base_has_edge(key)) {
-        (void)removed_edges_.insert(key);  // shadow the base edge
-      } else {
-        return false;
-      }
+    if (borrowed() && base_has_edge(key)) {
+      if (!edges_.insert(key)) return false;  // toggling a base edge off
+      ++removed_count_;
     } else if (!edges_.erase(key)) {
       return false;
     }
@@ -183,23 +174,21 @@ class DynamicGraph {
 
   [[nodiscard]] bool has_node(NodeId v) const noexcept {
     if (!borrowed()) return v < adjacency_.size() && adjacency_[v].alive != 0;
-    if (const std::uint64_t* slot = dirty_.find(v))
-      return adjacency_[static_cast<std::size_t>(*slot)].alive != 0;
+    if (const std::uint32_t slot = dirty_slot(v)) return adjacency_[slot - 1].alive != 0;
     return v < base_bound_ && base_alive_[v] != 0;
   }
 
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept {
     const std::uint64_t key = edge_key(u, v);
-    if (edges_.contains(key)) return true;
-    if (!borrowed()) return false;
-    return !removed_edges_.contains(key) && base_has_edge(key);
+    const bool toggled = edges_.contains(key);
+    return borrowed() ? toggled != base_has_edge(key) : toggled;
   }
 
   [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     if (!borrowed()) return edges_.size();
     return static_cast<std::size_t>(base_edge_count_) + edges_.size() -
-           removed_edges_.size();
+           2 * removed_count_;
   }
 
   /// One past the largest id ever assigned; valid ids are < id_bound().
@@ -208,8 +197,7 @@ class DynamicGraph {
   [[nodiscard]] std::size_t degree(NodeId v) const {
     DMIS_ASSERT(has_node(v));
     if (!borrowed()) return adjacency_[v].size;
-    if (const std::uint64_t* slot = dirty_.find(v))
-      return adjacency_[static_cast<std::size_t>(*slot)].size;
+    if (const std::uint32_t slot = dirty_slot(v)) return adjacency_[slot - 1].size;
     return static_cast<std::size_t>(base_offs_[v + 1] - base_offs_[v]);
   }
 
@@ -220,7 +208,7 @@ class DynamicGraph {
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const {
     DMIS_ASSERT(has_node(v));
     if (borrowed()) {
-      if (const std::uint64_t* slot = dirty_.find(v)) return record_span(*slot);
+      if (const std::uint32_t slot = dirty_slot(v)) return record_span(slot - 1);
       check_base_node(v);
       const std::uint64_t begin = base_offs_[v];
       return {base_nbrs_ + begin,
@@ -241,24 +229,29 @@ class DynamicGraph {
   /// materializing a vector. `f` must not mutate the graph.
   template <typename F>
   void for_each_edge(F&& f) const {
-    if (borrowed()) {
-      for (std::size_t i = 0; i < base_edge_capacity_; ++i) {
-        if (!util::FlatSet::is_full_slot(base_ctrl_[i])) continue;
-        const std::uint64_t key = base_keys_[i];
-        if (removed_edges_.contains(key)) continue;
-        f(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffULL));
-      }
-    }
-    edges_.for_each([&f](std::uint64_t key) {
+    const auto visit = [&f](std::uint64_t key) {
       f(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffULL));
+    };
+    if (!borrowed()) {
+      edges_.for_each(visit);
+      return;
+    }
+    // Base keys not toggled off, then toggled keys absent from the base.
+    for (std::size_t i = 0; i < base_edge_capacity_; ++i) {
+      if (!util::FlatSet::is_full_slot(base_ctrl_[i])) continue;
+      if (!edges_.contains(base_keys_[i])) visit(base_keys_[i]);
+    }
+    edges_.for_each([&](std::uint64_t key) {
+      if (!base_has_edge(key)) visit(key);
     });
   }
 
   /// Uniformly random present edge as (lo, hi) — O(1) expected via slot
   /// sampling, no materialized edge vector. False iff edgeless. Borrowed
-  /// mode samples uniformly over the combined base + delta slot space with
-  /// rejection (removed base keys and non-full slots reject), mirroring
-  /// FlatSet::sample's bounded-attempts-then-linear-fallback shape.
+  /// mode samples uniformly over the combined base + toggle slot space with
+  /// rejection (non-full slots, toggled base keys and the toggle-set copies
+  /// of removed base keys all reject), mirroring FlatSet::sample's
+  /// bounded-attempts-then-linear-fallback shape.
   template <typename RngT>
   [[nodiscard]] bool sample_edge(RngT& rng, NodeId& u, NodeId& v) const {
     std::uint64_t key = 0;
@@ -302,7 +295,7 @@ class DynamicGraph {
 
   /// The edge hash table, exposed read-only for callers that need the
   /// serialized-table view (deep verifiers, tests). Materialized mode only —
-  /// a borrowed graph's table is split across the mapping and two deltas;
+  /// a borrowed graph's table is split across the mapping and the toggles;
   /// use merged_edge_set() (writers) or has_edge/for_each_edge (queries).
   [[nodiscard]] const util::FlatSet& edge_set() const noexcept {
     DMIS_ASSERT_MSG(!borrowed(),
@@ -327,32 +320,41 @@ class DynamicGraph {
   /// tooling reads mapped/resident bytes through it.
   [[nodiscard]] const Snapshot* base_snapshot() const noexcept { return base_.get(); }
 
-  /// Overlay footprint, for stats: heap-migrated adjacency records and the
-  /// two edge-delta sizes. All zero in materialized mode.
-  [[nodiscard]] std::size_t overlay_nodes() const noexcept { return dirty_.size(); }
+  /// Overlay footprint, for stats: heap-migrated adjacency records (the
+  /// pool holds exactly the dirty nodes) and the toggled keys split into
+  /// inserted and removed edges. All zero in materialized mode.
+  [[nodiscard]] std::size_t overlay_nodes() const noexcept {
+    return borrowed() ? adjacency_.size() : 0;
+  }
   [[nodiscard]] std::size_t overlay_added_edges() const noexcept {
-    return borrowed() ? edges_.size() : 0;
+    return borrowed() ? edges_.size() - removed_count_ : 0;
   }
   [[nodiscard]] std::size_t overlay_removed_edges() const noexcept {
-    return removed_edges_.size();
+    return removed_count_;
   }
 
   /// The complete edge table for serialization: the materialized table
   /// itself, or — for a borrowed graph — the base table restored into
-  /// `scratch` with the overlay merged on top (removed keys erased, delta
-  /// keys inserted). The snapshot writer calls this, so checkpointing a
-  /// borrowed graph streams unchanged regions from the mapping and never
-  /// materializes adjacency. Note the merged table is *semantically* equal
-  /// to a materialized twin's, not byte-identical (tombstone placement
-  /// differs), so write-back equality checks must compare graphs, not bytes.
+  /// `scratch` with the overlay merged on top: toggled base keys are erased
+  /// first, so the inserts of the other toggled keys reuse their tombstones
+  /// and the table keeps the base capacity. The snapshot writer calls this,
+  /// so checkpointing a borrowed graph streams unchanged regions from the
+  /// mapping and never materializes adjacency. Note the merged table is
+  /// *semantically* equal to a materialized twin's, not byte-identical
+  /// (tombstone placement differs), so write-back equality checks must
+  /// compare graphs, not bytes.
   [[nodiscard]] const util::FlatSet& merged_edge_set(util::FlatSet& scratch) const {
     if (!borrowed()) return edges_;
     const bool restored = scratch.restore(
         {base_ctrl_, base_edge_capacity_}, {base_keys_, base_edge_capacity_},
         static_cast<std::size_t>(base_edge_count_), base_edge_occupied_);
     DMIS_ASSERT_MSG(restored, "borrowed snapshot edge table fails validation");
-    removed_edges_.for_each([&scratch](std::uint64_t key) { (void)scratch.erase(key); });
-    edges_.for_each([&scratch](std::uint64_t key) { (void)scratch.insert(key); });
+    edges_.for_each([&](std::uint64_t key) {
+      if (base_has_edge(key)) (void)scratch.erase(key);
+    });
+    edges_.for_each([&](std::uint64_t key) {
+      if (!base_has_edge(key)) (void)scratch.insert(key);
+    });
     return scratch;
   }
 
@@ -412,29 +414,42 @@ class DynamicGraph {
                                     {base_keys_, base_edge_capacity_}, key);
   }
 
-  /// sample_edge helper: slot i of the combined [base | delta] slot space;
+  /// sample_edge helper: slot i of the combined [base | toggle] slot space;
   /// accepts (filling `key`) iff it holds a currently-present edge.
   [[nodiscard]] bool accept_slot(std::size_t i, std::uint64_t& key) const noexcept {
     if (i < base_edge_capacity_) {
       if (!util::FlatSet::is_full_slot(base_ctrl_[i])) return false;
-      if (removed_edges_.contains(base_keys_[i])) return false;
+      if (edges_.contains(base_keys_[i])) return false;
       key = base_keys_[i];
       return true;
     }
     const std::size_t j = i - base_edge_capacity_;
     if (!util::FlatSet::is_full_slot(edges_.raw_ctrl()[j])) return false;
+    if (base_has_edge(edges_.raw_keys()[j])) return false;
     key = edges_.raw_keys()[j];
     return true;
   }
 
+  /// Borrowed mode: v's pool slot + 1, or 0 while v is clean. Ids past the
+  /// index's end are clean (the index grows only on writes).
+  [[nodiscard]] std::uint32_t dirty_slot(NodeId v) const noexcept {
+    return v < slot_index_.size() ? slot_index_[v] : 0;
+  }
+
+  /// Record that v now lives in pool slot `slot`. The first call sizes the
+  /// index to id_bound(); add_node grows it geometrically from there.
+  void route(NodeId v, std::size_t slot) {
+    if (v >= slot_index_.size()) slot_index_.resize(bound_);
+    slot_index_[v] = static_cast<std::uint32_t>(slot + 1);
+  }
+
   /// Heap record slot for v, for mutation: identity in materialized mode;
-  /// in borrowed mode the dirty-index hit, or a copy-on-write migration of
+  /// in borrowed mode the slot-index hit, or a copy-on-write migration of
   /// the clean base record into the pool (the one O(deg) moment a node pays
-  /// on its first write — every later touch is a FlatMap hit).
+  /// on its first write — every later touch is one index load).
   [[nodiscard]] std::size_t mutable_slot(NodeId v) {
     if (!borrowed()) return v;
-    if (const std::uint64_t* slot = dirty_.find(v))
-      return static_cast<std::size_t>(*slot);
+    if (const std::uint32_t slot = dirty_slot(v)) return slot - 1;
     check_base_node(v);
     const std::uint64_t begin = base_offs_[v];
     const auto deg = static_cast<std::uint32_t>(base_offs_[v + 1] - begin);
@@ -450,7 +465,7 @@ class DynamicGraph {
       adjacency_[slot].spilled = 1;
       overflow_[slot].assign(base_nbrs_ + begin, base_nbrs_ + begin + deg);
     }
-    dirty_.ref(v) = slot;
+    route(v, slot);
     return slot;
   }
 
@@ -509,7 +524,7 @@ class DynamicGraph {
 
   // Materialized mode: adjacency_/overflow_ are indexed by node id and
   // bound_ == adjacency_.size(). Borrowed mode: they are the dirty-record
-  // pool, indexed through dirty_; edges_ holds only inserted keys.
+  // pool, indexed through slot_index_; edges_ holds the toggled keys.
   std::vector<AdjRecord> adjacency_;
   std::vector<std::vector<NodeId>> overflow_;  // only touched once spilled
   util::FlatSet edges_;
@@ -529,8 +544,8 @@ class DynamicGraph {
   std::uint64_t base_edge_count_ = 0;
   std::size_t base_edge_capacity_ = 0;
   std::size_t base_edge_occupied_ = 0;
-  util::FlatMap dirty_;          // node id → heap pool slot
-  util::FlatSet removed_edges_;  // base keys shadowed by the overlay
+  std::vector<std::uint32_t> slot_index_;  // node id → pool slot + 1 (0 = clean)
+  std::size_t removed_count_ = 0;          // toggled keys present in the base
   // One bit per base node; null when the base was deep-validated at open.
   std::shared_ptr<std::atomic<std::uint64_t>[]> base_checked_;
 };

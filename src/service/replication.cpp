@@ -390,7 +390,8 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
     const std::vector<CheckpointInfo> checkpoints = list_checkpoints(leader_dir_);
     const std::vector<SegmentInfo> segments = list_segments(leader_dir_);
     std::uint64_t anchor = 0;
-    if (!checkpoints.empty() && checkpoints.back().lsn > cp_shipped_lsn_) {
+    if (!checkpoints.empty() &&
+        (!cp_shipped_lsn_.has_value() || checkpoints.back().lsn > *cp_shipped_lsn_)) {
       const CheckpointInfo& cp = checkpoints.back();
       cp_active_ = true;
       cp_lsn_ = cp.lsn;
@@ -398,7 +399,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
       cp_offset_ = 0;
       anchor = cp.lsn;
     } else {
-      anchor = cp_shipped_lsn_;
+      anchor = cp_shipped_lsn_.value_or(0);
     }
     const SegmentInfo* start = nullptr;
     for (const SegmentInfo& seg : segments) {
@@ -446,7 +447,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
     // The segment was truncated away before we shipped it — a newer
     // checkpoint must exist; restart planning from it.
     seg_seq_ = 0;
-    cp_shipped_lsn_ = 0;
+    cp_shipped_lsn_.reset();
     ++stats_.replans;
     return Pump::kShipped;
   }
@@ -459,7 +460,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
         std::min<std::uint64_t>(options_.chunk_bytes, cap - seg_offset_);
     if (!read_chunk(path, seg_offset_, len, buf_)) {
       seg_seq_ = 0;
-      cp_shipped_lsn_ = 0;
+      cp_shipped_lsn_.reset();
       ++stats_.replans;
       return Pump::kShipped;
     }

@@ -296,7 +296,9 @@ class LogShipper {
   std::uint64_t cp_lsn_ = 0;
   std::uint64_t cp_size_ = 0;
   std::uint64_t cp_offset_ = 0;
-  std::uint64_t cp_shipped_lsn_ = 0;  // newest checkpoint fully shipped
+  // Newest checkpoint fully shipped; empty until one has (a checkpoint may
+  // sit at lsn 0) and again after a re-plan, which re-ships the newest.
+  std::optional<std::uint64_t> cp_shipped_lsn_;
 
   // Segment cursor.
   std::uint64_t seg_seq_ = 0;  // 0 = not chosen yet

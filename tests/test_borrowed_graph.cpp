@@ -29,6 +29,7 @@
 #include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -129,12 +130,31 @@ TEST(BorrowedGraph, ShallowOpenBorrowEqualsFullOpenBorrow) {
   ASSERT_TRUE(a == b);
 }
 
+/// Brute-force overlay audit: recount the edges inserted over and removed
+/// from the borrowed graph's base snapshot, using the materialized twin as
+/// the current state, and compare with the overlay's own counters.
+void expect_overlay_counts(const DynamicGraph& borrowed, const DynamicGraph& base,
+                           const DynamicGraph& materialized) {
+  std::size_t added = 0;
+  std::size_t removed = 0;
+  materialized.for_each_edge([&](NodeId u, NodeId v) {
+    if (!base.has_edge(u, v)) ++added;
+  });
+  base.for_each_edge([&](NodeId u, NodeId v) {
+    if (!materialized.has_edge(u, v)) ++removed;
+  });
+  ASSERT_EQ(borrowed.overlay_added_edges(), added);
+  ASSERT_EQ(borrowed.overlay_removed_edges(), removed);
+}
+
 /// The differential churn fuzz: one seeded op stream, applied in lockstep
 /// to the borrowed graph and its materialized twin. Ops are chosen from the
 /// twins' (identical) current state, so divergence surfaces as a direct
 /// mismatch at the op that caused it.
 void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
                std::uint64_t seed, int ops) {
+  ASSERT_TRUE(borrowed.borrowed());
+  const DynamicGraph base = DynamicGraph::load(*borrowed.base_snapshot());
   util::Rng rng(seed);
   util::Rng sample_rng_b(seed + 1);  // separate streams: borrowed sampling
   util::Rng sample_rng_m(seed + 2);  // consumes different draw counts
@@ -143,18 +163,29 @@ void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
     const NodeId bound = borrowed.id_bound();
     if (what < 55 && bound >= 2) {
       // Edge toggle (the overlay's bread and butter: COW the touched
-      // records, route the key through the add/remove deltas).
+      // records, toggle the key in the overlay's edge set).
       const auto u = static_cast<NodeId>(rng.below(bound));
       const auto v = static_cast<NodeId>(rng.below(bound));
       if (u == v || !borrowed.has_node(u) || !borrowed.has_node(v)) continue;
       const bool had = borrowed.has_edge(u, v);
       ASSERT_EQ(had, materialized.has_edge(u, v)) << "(" << u << "," << v << ")";
+      // Rejected ops around the toggle: adding a present edge and removing
+      // an absent one return false in both twins, before the toggle (the
+      // edge may still be untouched base state) and after it.
       if (had) {
+        ASSERT_FALSE(borrowed.add_edge(u, v));
+        ASSERT_FALSE(materialized.add_edge(u, v));
         ASSERT_TRUE(borrowed.remove_edge(u, v));
         ASSERT_TRUE(materialized.remove_edge(u, v));
+        ASSERT_FALSE(borrowed.remove_edge(u, v));
+        ASSERT_FALSE(materialized.remove_edge(u, v));
       } else {
+        ASSERT_FALSE(borrowed.remove_edge(u, v));
+        ASSERT_FALSE(materialized.remove_edge(u, v));
         ASSERT_TRUE(borrowed.add_edge(u, v));
         ASSERT_TRUE(materialized.add_edge(u, v));
+        ASSERT_FALSE(borrowed.add_edge(u, v));
+        ASSERT_FALSE(materialized.add_edge(u, v));
       }
     } else if (what < 65) {
       // Node insertion appends past the snapshot's id_bound — borrowed mode
@@ -197,9 +228,17 @@ void fuzz_pair(DynamicGraph& borrowed, DynamicGraph& materialized,
         EXPECT_TRUE(borrowed.has_edge(u, v));
       }
     }
-    if (i % 50 == 0) expect_same(borrowed, materialized);
+    if (i % 50 == 0) {
+      expect_same(borrowed, materialized);
+      expect_overlay_counts(borrowed, base, materialized);
+      for (const NodeId k : {0U, 1U, 1000U}) {
+        ASSERT_FALSE(borrowed.has_node(borrowed.id_bound() + k)) << "k " << k;
+        ASSERT_FALSE(materialized.has_node(materialized.id_bound() + k)) << "k " << k;
+      }
+    }
   }
   expect_same(borrowed, materialized);
+  expect_overlay_counts(borrowed, base, materialized);
 }
 
 TEST(BorrowedGraph, DifferentialChurnMatchesMaterializedTwin) {
@@ -215,6 +254,50 @@ TEST(BorrowedGraph, DifferentialChurnMatchesMaterializedTwin) {
     fuzz_pair(borrowed, materialized, seed * 13 + 5, 2000);
     EXPECT_GT(borrowed.overlay_nodes(), 0U);  // the fuzz must have dirtied some
   }
+}
+
+TEST(BorrowedGraph, NodeGrowthFarPastBaseBoundRoundTrips) {
+  // Appended ids route through the slot index, which first sizes itself to
+  // id_bound() and then grows with add_node. Grow the graph to five times
+  // its base id bound, wiring each newcomer to base nodes (dirtying them)
+  // and to other newcomers, then fuzz and require that the merged edge
+  // table and a saved checkpoint both match the materialized twin.
+  const DynamicGraph original = churned_graph(200, 83);
+  TempFile file("grow.snap");
+  ASSERT_TRUE(original.save(file.path));
+  auto snap = std::make_shared<Snapshot>();
+  std::string error;
+  ASSERT_TRUE(snap->open(file.path, &error)) << error;
+  DynamicGraph borrowed = DynamicGraph::borrow(snap);
+  DynamicGraph materialized = DynamicGraph::load(*snap);
+  const NodeId base_bound = borrowed.id_bound();
+
+  util::Rng rng(84);
+  while (borrowed.id_bound() < 5 * base_bound) {
+    const NodeId fresh = borrowed.add_node();
+    ASSERT_EQ(fresh, materialized.add_node());
+    for (int k = 0; k < 2; ++k) {
+      const auto other = static_cast<NodeId>(rng.below(fresh));
+      if (!borrowed.has_node(other)) continue;
+      ASSERT_EQ(borrowed.add_edge(fresh, other), materialized.add_edge(fresh, other));
+    }
+  }
+  expect_same(borrowed, materialized);
+  fuzz_pair(borrowed, materialized, 85, 1500);
+
+  util::FlatSet scratch;
+  const util::FlatSet& merged = borrowed.merged_edge_set(scratch);
+  const util::FlatSet& twin = materialized.edge_set();
+  ASSERT_EQ(merged.size(), twin.size());
+  bool same = true;
+  twin.for_each([&](std::uint64_t key) { same &= merged.contains(key); });
+  EXPECT_TRUE(same);
+
+  TempFile saved("grow_saved.snap");
+  ASSERT_TRUE(borrowed.save(saved.path));
+  Snapshot reopened;
+  ASSERT_TRUE(reopened.open(saved.path, &error)) << error;
+  expect_same(DynamicGraph::load(reopened), materialized);
 }
 
 TEST(BorrowedGraph, SpillBoundaryCrossingUnderCow) {

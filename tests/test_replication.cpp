@@ -17,6 +17,7 @@
 #include "core/batch.hpp"
 #include "core/cascade_engine.hpp"
 #include "graph/generators.hpp"
+#include "service/checkpoint.hpp"
 #include "service/recovery.hpp"
 #include "service/replication.hpp"
 #include "service/service.hpp"
@@ -444,6 +445,50 @@ TEST(Replication, FailoverPromotesAndContinuesOpForOp) {
     ASSERT_TRUE(reopened.has_value()) << where << ": " << error;
     expect_same(reopened->engine(), never_crashed, where + ": recovery after failover");
   }
+}
+
+TEST(Replication, CheckpointAtLsnZeroShipsToFollower) {
+  // A leader bootstrapped from a non-empty checkpoint published at lsn 0:
+  // its WAL starts at lsn 0 too, so a follower that replays the segments
+  // without that checkpoint would cold-start from an empty engine. The
+  // shipper must send the lsn-0 checkpoint before the segment chain.
+  TempDir leader_dir("lsn0_leader");
+  TempDir follower_dir("lsn0_follower");
+  std::string error;
+
+  util::Rng rng(505);
+  graph::DynamicGraph g = graph::random_avg_degree(120, 6.0, rng);
+  {
+    std::filesystem::create_directories(leader_dir.path);
+    const core::CascadeEngine seed_engine(g, /*priority_seed=*/7);
+    service::Checkpointer checkpointer(leader_dir.path);
+    ASSERT_TRUE(checkpointer.checkpoint(seed_engine, 0, &error)) << error;
+  }
+  auto leader = MisService::open(leader_config(leader_dir.path), &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  ASSERT_EQ(leader->lsn(), 0U);
+  ASSERT_GT(leader->engine().graph().node_count(), 0U);
+
+  workload::ChurnConfig config;
+  config.p_abrupt = 0.4;
+  workload::ChurnGenerator gen(g, config, 506);
+  for (int b = 0; b < 50; ++b) {
+    core::Batch batch;
+    for (int i = 0; i < 8; ++i) workload::append_op(batch, gen.next());
+    ASSERT_TRUE(leader->apply(batch, &error)) << error;
+  }
+
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport transport(&*follower);
+  LogShipper shipper(leader_dir.path, &transport);
+  shipper.attach_durable_cursor(&*leader);
+  settle(shipper, *follower);
+
+  ASSERT_TRUE(follower->has_engine());
+  EXPECT_GE(follower->stats().checkpoints_published, 1U);
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), leader->engine(), "lsn-0 bootstrapped follower");
 }
 
 TEST(Replication, PromoteWithNothingShippedServesFromEmpty) {

@@ -126,7 +126,7 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
       for (std::size_t i = 0; i < bn.size(); ++i)
         EXPECT_EQ(bn[i], mn[i]) << "node " << v << " slot " << i;
     }
-    // A churn touch (COW a record, route the key through the deltas) must
+    // A churn touch (COW a record, toggle the key in the overlay) must
     // net to zero. Endpoints must be live toggleable nodes under BOTH
     // views before mutation is legal at all.
     NodeId u = 0, w = 0;

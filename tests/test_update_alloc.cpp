@@ -25,11 +25,13 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -125,6 +127,33 @@ TEST(UpdateAlloc, BorrowedEngineChurnIsAllocationFreeAfterOverlayWarmUp) {
   EXPECT_EQ(allocs, 0U) << "borrowed steady-state updates must not allocate";
   engine.verify();
   std::filesystem::remove(path);
+}
+
+/// Heap bytes allocated by DynamicGraph::borrow over a deep-validated
+/// snapshot of an n-node graph (the graph's own teardown is not counted).
+std::uint64_t borrow_bytes(NodeId n) {
+  util::Rng rng(n);
+  const graph::DynamicGraph g = graph::random_avg_degree(n, 4.0, rng);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dmis_alloc_borrow_open.snap").string();
+  EXPECT_TRUE(g.save(path));
+  auto snap = std::make_shared<graph::Snapshot>();
+  EXPECT_TRUE(snap->open(path));
+  EXPECT_TRUE(snap->deep_validated());
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  const graph::DynamicGraph borrowed = graph::DynamicGraph::borrow(snap);
+  const std::uint64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(borrowed.borrowed());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(UpdateAlloc, BorrowOpenAllocatesIndependentOfGraphSize) {
+  // Borrowed open is O(header): over a deep-validated snapshot it allocates
+  // no per-node array. The overlay's slot index waits for the first write.
+  const std::uint64_t small = borrow_bytes(1'000);
+  const std::uint64_t large = borrow_bytes(100'000);
+  EXPECT_EQ(large, small) << "borrow() heap bytes grew with n";
 }
 
 TEST(UpdateAlloc, ColdEngineEventuallyStopsAllocating) {
