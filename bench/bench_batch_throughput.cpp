@@ -1,14 +1,11 @@
-// Batch-repair throughput: serial single-cascade apply_batch vs the
-// priority-sharded parallel engine, swept over shard count × batch size.
+// Batch-repair throughput of core::apply_batch (one cascade per batch, the
+// path MisService and recovery replay run), swept over n × batch size.
 //
-// For every (n, batch_size) cell the same churn-batch sequence (identical
-// generator seed) is replayed from the same initial graph through the
-// serial engine and through ShardedCascadeEngine with S ∈ {1, 2, 4, 8}
-// (S = 1 measures the parallel framework's overhead with zero cross-shard
-// traffic). Only apply_batch is timed; generation is outside the clock.
-// Results append to BENCH_batch_throughput.json so successive PRs can diff
-// the trajectory; the JSON records hardware_concurrency because parallel
-// speedup is bounded by the cores the container actually grants.
+// For every (n, batch_size) cell a churn-batch sequence is replayed from the
+// initial graph through a CascadeEngine. Only apply_batch is timed;
+// generation is outside the clock. Results go to
+// BENCH_batch_throughput.json; the JSON records hardware_concurrency so a
+// row can be read against the host it was taken on.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "core/batch.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
@@ -34,7 +30,6 @@ using Clock = std::chrono::steady_clock;
 struct Result {
   NodeId n = 0;
   std::size_t batch_size = 0;
-  unsigned shards = 0;  // 0 == serial apply_batch
   std::uint64_t ops = 0;
   std::uint64_t batches = 0;
   double seconds = 0;
@@ -43,7 +38,7 @@ struct Result {
 };
 
 /// Edge-toggle churn on a warm graph (the regime the single-update latency
-/// bench calls "churn"); node ops are excluded so every engine's id space
+/// bench calls "churn"); node ops are excluded so the engine's id space
 /// stays identical to the generator's.
 std::vector<core::Batch> make_batches(const graph::DynamicGraph& g,
                                       std::size_t batch_size, std::uint64_t ops,
@@ -57,17 +52,16 @@ std::vector<core::Batch> make_batches(const graph::DynamicGraph& g,
   return workload::churn_batches(generator, ops / batch_size, batch_size);
 }
 
-template <typename ApplyFn>
-Result run_case(NodeId n, std::size_t batch_size, unsigned shards,
-                const std::vector<core::Batch>& batches, ApplyFn&& apply) {
+Result run_case(const graph::DynamicGraph& g, std::uint64_t seed, std::size_t batch_size,
+                const std::vector<core::Batch>& batches) {
   Result r;
-  r.n = n;
+  r.n = static_cast<NodeId>(g.id_bound());
   r.batch_size = batch_size;
-  r.shards = shards;
+  core::CascadeEngine engine(g, seed);
   std::uint64_t adjustments = 0;
   const auto t0 = Clock::now();
   for (const core::Batch& batch : batches) {
-    adjustments += apply(batch).report.adjustments;
+    adjustments += core::apply_batch(engine, batch).report.adjustments;
     r.ops += batch.size();
   }
   const auto t1 = Clock::now();
@@ -92,8 +86,8 @@ bool validate(const std::vector<Result>& results) {
                     r.seconds >= 0 && r.updates_per_sec > 0 &&
                     r.adjustments_per_op >= 0;
     if (!ok) {
-      std::fprintf(stderr, "validate: malformed row (n=%u, batch=%zu, shards=%u)\n",
-                   r.n, r.batch_size, r.shards);
+      std::fprintf(stderr, "validate: malformed row (n=%u, batch=%zu)\n", r.n,
+                   r.batch_size);
       return false;
     }
   }
@@ -118,12 +112,10 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(f,
-                 "    {\"n\": %u, \"batch_size\": %zu, \"engine\": \"%s\", "
-                 "\"shards\": %u, \"ops\": %llu, \"batches\": %llu, "
-                 "\"seconds\": %.6f, \"updates_per_sec\": %.0f, "
+                 "    {\"n\": %u, \"batch_size\": %zu, \"ops\": %llu, "
+                 "\"batches\": %llu, \"seconds\": %.6f, \"updates_per_sec\": %.0f, "
                  "\"adjustments_per_op\": %.4f}%s\n",
-                 r.n, r.batch_size, r.shards == 0 ? "serial" : "sharded",
-                 r.shards, static_cast<unsigned long long>(r.ops),
+                 r.n, r.batch_size, static_cast<unsigned long long>(r.ops),
                  static_cast<unsigned long long>(r.batches), r.seconds,
                  r.updates_per_sec, r.adjustments_per_op,
                  i + 1 < results.size() ? "," : "");
@@ -142,7 +134,6 @@ int main(int argc, char** argv) {
   double deg = 8.0;
   std::vector<NodeId> sizes = {100'000, 1'000'000};
   std::vector<std::size_t> batch_sizes = {16, 256, 4096};
-  std::vector<unsigned> shard_counts = {1, 2, 4, 8};
   std::string out = "BENCH_batch_throughput.json";
   bool validate_flag = false;
 
@@ -169,19 +160,11 @@ int main(int argc, char** argv) {
     // to toggle), hence the floor on --sizes.
     else if (arg == "--sizes" && parse_list(next(), sizes, 2)) continue;
     else if (arg == "--batch-sizes" && parse_list(next(), batch_sizes, 1)) continue;
-    else if (arg == "--shards" && parse_list(next(), shard_counts, 1)) continue;
     else {
       std::fprintf(stderr,
                    "usage: %s [--ops N] [--seed S] [--deg D] [--sizes a,b] "
-                   "[--batch-sizes a,b] [--shards a,b] [--out F] [--validate]\n",
+                   "[--batch-sizes a,b] [--out F] [--validate]\n",
                    argv[0]);
-      return 2;
-    }
-  }
-
-  for (const unsigned s : shard_counts) {
-    if (s == 0 || (s & (s - 1)) != 0 || s > 64) {
-      std::fprintf(stderr, "--shards wants powers of two in [1, 64]\n");
       return 2;
     }
   }
@@ -194,32 +177,15 @@ int main(int argc, char** argv) {
       const auto batches = make_batches(g, batch_size, ops, seed * 31 + batch_size);
 
       {
-        // Untimed warmup: the first engine to run would otherwise pay every
-        // fresh-page fault for arrays the later engines recycle from the
-        // allocator, skewing the serial-vs-sharded comparison.
+        // Untimed warmup: the timed engine then recycles its arrays from the
+        // allocator instead of paying every fresh-page fault on the clock.
         core::CascadeEngine warm(g, seed);
         for (const core::Batch& batch : batches) (void)core::apply_batch(warm, batch);
       }
-      {
-        core::CascadeEngine engine(g, seed);
-        const Result r = run_case(n, batch_size, 0, batches,
-                                  [&](const core::Batch& b) {
-                                    return core::apply_batch(engine, b);
-                                  });
-        results.push_back(r);
-        std::printf("serial    n=%-8u batch=%-5zu %12.0f upd/s  adj/op=%.3f\n",
-                    n, batch_size, r.updates_per_sec, r.adjustments_per_op);
-      }
-      for (const unsigned shards : shard_counts) {
-        core::ShardedCascadeEngine engine(g, seed, shards);
-        const Result r = run_case(n, batch_size, shards, batches,
-                                  [&](const core::Batch& b) {
-                                    return engine.apply_batch(b);
-                                  });
-        results.push_back(r);
-        std::printf("sharded%-2u n=%-8u batch=%-5zu %12.0f upd/s  adj/op=%.3f\n",
-                    shards, n, batch_size, r.updates_per_sec, r.adjustments_per_op);
-      }
+      const Result r = run_case(g, seed, batch_size, batches);
+      results.push_back(r);
+      std::printf("n=%-8u batch=%-5zu %12.0f upd/s  adj/op=%.3f\n", n, batch_size,
+                  r.updates_per_sec, r.adjustments_per_op);
     }
   }
   if (validate_flag && !validate(results)) return 1;

@@ -256,12 +256,6 @@ void CascadeEngine::raw_remove_edge(NodeId u, NodeId v) {
   DMIS_ASSERT(g_.remove_edge(u, v));
 }
 
-std::vector<NodeId> CascadeEngine::raw_remove_node(NodeId v) {
-  std::vector<NodeId> former;
-  raw_remove_node(v, former);
-  return former;
-}
-
 void CascadeEngine::raw_remove_node(NodeId v, std::vector<NodeId>& former_out) {
   DMIS_ASSERT(g_.has_node(v));
   const auto nb = g_.neighbors(v);

@@ -139,9 +139,8 @@ class CascadeEngine {
   NodeId raw_add_node(std::span<const NodeId> neighbors);
   void raw_add_edge(NodeId u, NodeId v);
   void raw_remove_edge(NodeId u, NodeId v);
-  /// Remove a node without repairing; returns its former neighbors.
-  std::vector<NodeId> raw_remove_node(NodeId v);
-  /// Same, appending the former neighbors to `former_out` (no temporary).
+  /// Remove a node without repairing, appending its former neighbors to
+  /// `former_out`.
   void raw_remove_node(NodeId v, std::vector<NodeId>& former_out);
   /// Run the increasing-π repair pass from `seeds`; the report becomes
   /// last_report().
@@ -154,11 +153,6 @@ class CascadeEngine {
   void debug_set_epoch(std::uint32_t epoch);
 
  private:
-  // The sharded batch engine runs its parallel repair directly on this
-  // engine's graph/priority/state arrays (core/sharded_engine.hpp); it is
-  // the one component allowed behind the repair invariants.
-  friend class ShardedCascadeEngine;
-
   struct HeapEntry {
     std::uint64_t key;
     NodeId id;

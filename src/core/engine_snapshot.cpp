@@ -8,22 +8,29 @@ namespace dmis::core {
 
 namespace {
 
-/// Clamp a raw key span to the graph's id bound: keys pinned beyond the id
-/// space (tests can set_key arbitrary ids) have no node to describe, and the
-/// writer zero-pads anything shorter.
-[[nodiscard]] std::span<const std::uint64_t> keys_view(const PriorityMap& priorities,
-                                                       const graph::DynamicGraph& g) {
+/// The engine state a snapshot persists, as views into the engine: the
+/// priority keys clamped to the graph's id bound (keys pinned beyond the id
+/// space — tests can set_key arbitrary ids — have no node to describe, and
+/// the writer zero-pads anything shorter), the membership bytes, and the
+/// priority seed + generator state (which makes a warm restart a true
+/// continuation: future draws match the saved process exactly).
+[[nodiscard]] graph::EngineStateView state_view(const PriorityMap& priorities,
+                                                const graph::DynamicGraph& g,
+                                                std::span<const std::uint8_t> membership) {
+  graph::EngineStateView state;
   const auto keys = priorities.raw_keys();
-  return keys.size() > g.id_bound() ? keys.first(g.id_bound()) : keys;
-}
-
-/// Stamp the priority seed + generator state into the view (the generator
-/// state makes a warm restart a true continuation: future draws match the
-/// saved process exactly).
-void fill_rng(graph::EngineStateView& state, const PriorityMap& priorities) {
+  state.keys = keys.size() > g.id_bound() ? keys.first(g.id_bound()) : keys;
+  state.membership = membership;
   state.priority_seed = priorities.seed();
   const util::Rng::State rng = priorities.rng_state();
   for (int w = 0; w < 4; ++w) state.rng_state[w] = rng[static_cast<std::size_t>(w)];
+  return state;
+}
+
+/// The sequential engines keep membership as one id-indexed byte array.
+template <typename Engine>
+[[nodiscard]] graph::EngineStateView state_view(const Engine& engine) {
+  return state_view(engine.priorities(), engine.graph(), engine.membership());
 }
 
 /// Shared tail for the distributed drivers: their membership lives in the
@@ -35,11 +42,8 @@ bool save_driver(const Driver& engine, const std::string& path, std::string* err
   std::vector<std::uint8_t> membership(g.id_bound(), 0);
   g.for_each_node(
       [&](graph::NodeId v) { membership[v] = engine.in_mis(v) ? 1 : 0; });
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), g);
-  state.membership = membership;
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot(g, state, path, error);
+  return graph::save_snapshot(g, state_view(engine.priorities(), g, membership), path,
+                              error);
 }
 
 }  // namespace
@@ -51,16 +55,7 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
 
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot(engine.graph(), state, path, factory, error);
-}
-
-bool save_snapshot(const ShardedCascadeEngine& engine, const std::string& path,
-                   std::string* error) {
-  return save_snapshot(engine.serial(), path, error);
+  return graph::save_snapshot(engine.graph(), state_view(engine), path, factory, error);
 }
 
 bool save_snapshot(const DistMis& engine, const std::string& path, std::string* error) {
@@ -73,29 +68,19 @@ bool save_snapshot(const AsyncMis& engine, const std::string& path, std::string*
 
 bool save_snapshot(const LockFreeEngine& engine, const std::string& path,
                    std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot(engine.graph(), state, path, error);
+  return graph::save_snapshot(engine.graph(), state_view(engine), path, error);
 }
 
 bool save_snapshot_sharded(const CascadeEngine& engine, const std::string& path,
                            std::uint32_t shard_count, std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot_sharded(engine.graph(), state, path, shard_count, error);
+  return graph::save_snapshot_sharded(engine.graph(), state_view(engine), path,
+                                      shard_count, error);
 }
 
 bool save_snapshot_sharded(const LockFreeEngine& engine, const std::string& path,
                            std::uint32_t shard_count, std::string* error) {
-  graph::EngineStateView state;
-  state.keys = keys_view(engine.priorities(), engine.graph());
-  state.membership = engine.membership();
-  fill_rng(state, engine.priorities());
-  return graph::save_snapshot_sharded(engine.graph(), state, path, shard_count, error);
+  return graph::save_snapshot_sharded(engine.graph(), state_view(engine), path,
+                                      shard_count, error);
 }
 
 }  // namespace dmis::core

@@ -20,7 +20,6 @@
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
 #include "core/lockfree_engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "util/fault_file.hpp"  // util::FileFactory
 
 namespace dmis::core {
@@ -35,8 +34,6 @@ bool save_snapshot(const CascadeEngine& engine, const std::string& path,
 /// Checkpointer's fault-injection seam — graph/snapshot.hpp).
 bool save_snapshot(const CascadeEngine& engine, const std::string& path,
                    const util::FileFactory& factory, std::string* error = nullptr);
-bool save_snapshot(const ShardedCascadeEngine& engine, const std::string& path,
-                   std::string* error = nullptr);
 bool save_snapshot(const DistMis& engine, const std::string& path,
                    std::string* error = nullptr);
 bool save_snapshot(const AsyncMis& engine, const std::string& path,

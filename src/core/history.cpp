@@ -4,6 +4,10 @@
 #include <cmath>
 #include <set>
 
+#include "core/async_mis.hpp"
+#include "core/cascade_engine.hpp"
+#include "core/template_engine.hpp"
+
 namespace dmis::core {
 
 std::vector<bool> replay_membership(const workload::Trace& trace, std::uint64_t seed,

@@ -1,11 +1,11 @@
 // LockFreeEngine — barrier-free parallel maintenance of the random-greedy
-// MIS via per-node CAS, the fifth interchangeable engine.
+// MIS via per-node CAS, the fourth interchangeable engine.
 //
 // The license for this engine is the paper's history-independence theorem
 // (§3): the maintained MIS is the *unique* fixpoint of the node priorities
 // — v ∈ M iff no earlier-π live neighbor is in M — so ANY repair schedule
 // that converges to that fixpoint computes exactly the same set as the
-// sequential cascade, the sharded rounds, or the simulated protocols.
+// sequential cascade, the batch repair, or the simulated protocols.
 // Schedule-independence means workers need no barriers, no rounds and no
 // shard ownership: they race freely and the fixpoint referees.
 //

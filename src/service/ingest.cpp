@@ -17,19 +17,22 @@ IngestQueue::IngestQueue(IngestOptions options) : options_(options) {
 bool IngestQueue::try_submit(unsigned producer, const ClientOp& op) {
   DMIS_ASSERT(producer < options_.producers);
   Lane& lane = lanes_[producer];
-  if (!lane.ring.try_push(op)) return false;
+  // Count the op before publishing it: the consumer may pop and ack it as
+  // soon as it is in the ring, and acked must never overtake submitted.
   lane.submitted.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  if (lane.ring.try_push(op)) return true;
+  lane.submitted.fetch_sub(1, std::memory_order_relaxed);
+  return false;
 }
 
 void IngestQueue::submit(unsigned producer, const ClientOp& op) {
   DMIS_ASSERT(producer < options_.producers);
   Lane& lane = lanes_[producer];
+  lane.submitted.fetch_add(1, std::memory_order_relaxed);  // before publishing
   while (!lane.ring.try_push(op)) {
     lane.waits.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::yield();
   }
-  lane.submitted.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t IngestQueue::submitted(unsigned producer) const {

@@ -1,9 +1,9 @@
 // ThreadPool — a reusable fixed-size worker pool for fork/join parallelism.
 //
-// The sharded cascade engine runs many short parallel rounds per batch
-// (one per frontier generation), so spawning std::threads per round would
-// drown the actual repair work in clone/join syscalls. This pool keeps its
-// workers alive for the lifetime of the owning engine: a round is published
+// LockFreeEngine runs a short parallel round per repair (and per warm
+// start), so spawning std::threads per round would drown the actual repair
+// work in clone/join syscalls. This pool keeps its workers alive for the
+// lifetime of the owner: a round is published
 // under a mutex (generation counter bump + notify), workers claim task
 // indices from a shared atomic counter, and the caller both participates in
 // the claiming loop and blocks until the completion count reaches the task
@@ -14,8 +14,8 @@
 //
 // run_indexed(count, fn) invokes fn(0) … fn(count−1) exactly once each, in
 // unspecified order, possibly concurrently. With zero workers (or count 1)
-// everything runs inline on the caller — the degenerate configuration the
-// single-shard engine uses, with no synchronization overhead beyond two
+// everything runs inline on the caller — the degenerate configuration a
+// one-worker engine uses, with no synchronization overhead beyond two
 // branch tests.
 #pragma once
 

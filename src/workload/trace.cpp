@@ -20,114 +20,6 @@ Trace grow_trace(const graph::DynamicGraph& g) {
   return trace;
 }
 
-void apply(core::CascadeEngine& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
-void apply(core::TemplateEngine& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
-void apply(core::DistMis& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
-      break;
-    case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kGraceful);
-      break;
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v, core::DeletionMode::kAbrupt);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-      engine.remove_node(op.u, core::DeletionMode::kGraceful);
-      break;
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u, core::DeletionMode::kAbrupt);
-      break;
-  }
-}
-
-void apply(core::AsyncMis& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-      engine.insert_node(op.neighbors);
-      break;
-    case OpKind::kUnmuteNode:
-      engine.unmute_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.insert_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
-void apply(core::LockFreeEngine& engine, const GraphOp& op) {
-  switch (op.kind) {
-    case OpKind::kAddNode:
-    case OpKind::kUnmuteNode:
-      (void)engine.add_node(op.neighbors);
-      break;
-    case OpKind::kAddEdge:
-      engine.add_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveEdgeGraceful:
-    case OpKind::kRemoveEdgeAbrupt:
-      engine.remove_edge(op.u, op.v);
-      break;
-    case OpKind::kRemoveNodeGraceful:
-    case OpKind::kRemoveNodeAbrupt:
-      engine.remove_node(op.u);
-      break;
-  }
-}
-
 graph::DynamicGraph materialize(const Trace& trace) {
   graph::DynamicGraph g;
   for (const GraphOp& op : trace) {

@@ -18,15 +18,13 @@
 //   rna v           remove node (abrupt)
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
-#include "core/async_mis.hpp"
-#include "core/cascade_engine.hpp"
-#include "core/dist_mis.hpp"
-#include "core/lockfree_engine.hpp"
-#include "core/template_engine.hpp"
+#include "core/dist_mis.hpp"  // core::DeletionMode
 #include "graph/dynamic_graph.hpp"
 
 namespace dmis::workload {
@@ -72,14 +70,56 @@ using Trace = std::vector<GraphOp>;
 /// then each edge (the canonical "grow" history of a graph).
 [[nodiscard]] Trace grow_trace(const graph::DynamicGraph& g);
 
-/// Apply one op / a whole trace to each engine flavor. The sequential
-/// engines collapse graceful/abrupt and treat unmute as insertion (the
-/// distinctions only exist at the communication layer).
-void apply(core::CascadeEngine& engine, const GraphOp& op);
-void apply(core::TemplateEngine& engine, const GraphOp& op);
-void apply(core::DistMis& engine, const GraphOp& op);
-void apply(core::AsyncMis& engine, const GraphOp& op);
-void apply(core::LockFreeEngine& engine, const GraphOp& op);
+/// What apply() reads of an op: its kind, its endpoints and its add-node
+/// neighbor list. GraphOp and TraceFile::OpView (the zero-copy view of a
+/// binary trace record, workload/trace_file.hpp) both qualify.
+template <typename Op>
+concept TraceOp = requires(const Op& op) {
+  { op.kind } -> std::convertible_to<OpKind>;
+  { op.u } -> std::convertible_to<NodeId>;
+  { op.v } -> std::convertible_to<NodeId>;
+  std::span<const NodeId>(op.neighbors);
+};
+
+/// Apply one op to any engine, or to a core::Batch being built. The
+/// sequential engines (add_node/add_edge) collapse graceful/abrupt and
+/// treat unmute as insertion: the distinctions only exist at the
+/// communication layer. The distributed drivers (insert_node/unmute_node)
+/// keep unmute apart, and keep the deletion mode where their model has one
+/// (DistMis; AsyncMis has a single deletion).
+template <typename Engine, TraceOp Op>
+void apply(Engine& engine, const Op& op) {
+  const std::span<const NodeId> neighbors(op.neighbors);
+  constexpr bool kDistributed = requires { engine.unmute_node(neighbors); };
+  const core::DeletionMode mode =
+      op.kind == OpKind::kRemoveEdgeAbrupt || op.kind == OpKind::kRemoveNodeAbrupt
+          ? core::DeletionMode::kAbrupt
+          : core::DeletionMode::kGraceful;
+  switch (op.kind) {
+    case OpKind::kAddNode:
+    case OpKind::kUnmuteNode:
+      if constexpr (!kDistributed) (void)engine.add_node(neighbors);
+      else if (op.kind == OpKind::kUnmuteNode) (void)engine.unmute_node(neighbors);
+      else (void)engine.insert_node(neighbors);
+      break;
+    case OpKind::kAddEdge:
+      if constexpr (kDistributed) (void)engine.insert_edge(op.u, op.v);
+      else (void)engine.add_edge(op.u, op.v);
+      break;
+    case OpKind::kRemoveEdgeGraceful:
+    case OpKind::kRemoveEdgeAbrupt:
+      if constexpr (requires { engine.remove_edge(op.u, op.v, mode); })
+        (void)engine.remove_edge(op.u, op.v, mode);
+      else (void)engine.remove_edge(op.u, op.v);
+      break;
+    case OpKind::kRemoveNodeGraceful:
+    case OpKind::kRemoveNodeAbrupt:
+      if constexpr (requires { engine.remove_node(op.u, mode); })
+        (void)engine.remove_node(op.u, mode);
+      else (void)engine.remove_node(op.u);
+      break;
+  }
+}
 
 template <typename Engine>
 void replay(Engine& engine, const Trace& trace) {

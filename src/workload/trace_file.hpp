@@ -102,11 +102,11 @@ class TraceFile {
   /// op — prefer replay()/to_batch() for hot paths).
   [[nodiscard]] Trace to_trace() const;
 
-  /// Replay every op into an engine directly from the mapping. Engine is
-  /// any type with an apply_view overload below.
+  /// Replay every op into an engine directly from the mapping, through
+  /// workload::apply.
   template <typename Engine>
   void replay(Engine& engine) const {
-    for (std::size_t i = 0; i < size(); ++i) apply_view(engine, op(i));
+    for (std::size_t i = 0; i < size(); ++i) apply(engine, op(i));
   }
 
   /// Payload checksum check (full pass; open() validates structure only).
@@ -126,17 +126,8 @@ class TraceFile {
   TraceFileHeader header_{};
 };
 
-/// Per-engine op application, mirroring workload::apply but reading the
-/// neighbor span straight out of the mapped arena (the sequential engines
-/// collapse graceful/abrupt and unmute, exactly like workload::apply).
-void apply_view(core::CascadeEngine& engine, const TraceFile::OpView& op);
-void apply_view(core::TemplateEngine& engine, const TraceFile::OpView& op);
-void apply_view(core::DistMis& engine, const TraceFile::OpView& op);
-void apply_view(core::AsyncMis& engine, const TraceFile::OpView& op);
-void apply_view(core::LockFreeEngine& engine, const TraceFile::OpView& op);
-
 /// Append ops [begin, end) to `batch` (arena-to-arena copy; the same
-/// graceful/abrupt collapse as workload::append_op).
+/// graceful/abrupt collapse as workload::apply).
 void append_to_batch(const TraceFile& trace, std::size_t begin, std::size_t end,
                      core::Batch& batch);
 

@@ -171,6 +171,50 @@ TEST(Batch, MatchesOracleUnderFuzz) {
   }
 }
 
+TEST(Batch, InterleavedSingleUpdatesAndBatchesMatchOracle) {
+  // One engine takes both single updates and batch repairs (the per-op API
+  // and apply_batch share its cascade state); mixing them must keep it on
+  // the greedy fixpoint of its priorities.
+  dmis::util::Rng graph_rng(17);
+  const auto g = dmis::graph::random_avg_degree(150, 4.0, graph_rng);
+  CascadeEngine engine(g, 41);
+  const std::vector<NodeId> live = g.nodes();
+  dmis::util::Rng rng(23);
+  const auto random_node = [&] { return live[rng.below(live.size())]; };
+  Batch batch;
+  for (int round = 0; round < 40; ++round) {
+    if (round % 3 == 0) {
+      // Ten edge toggles as one batch; the mirror keeps every op valid.
+      batch.clear();
+      dmis::graph::DynamicGraph mirror = engine.graph();
+      for (int i = 0; i < 10; ++i) {
+        const NodeId u = random_node();
+        const NodeId v = random_node();
+        if (u == v) continue;
+        if (mirror.has_edge(u, v)) {
+          mirror.remove_edge(u, v);
+          batch.remove_edge(u, v);
+        } else {
+          mirror.add_edge(u, v);
+          batch.add_edge(u, v);
+        }
+      }
+      (void)apply_batch(engine, batch);
+    } else {
+      const NodeId u = random_node();
+      const NodeId v = random_node();
+      if (u == v) continue;
+      if (engine.graph().has_edge(u, v)) (void)engine.remove_edge(u, v);
+      else (void)engine.add_edge(u, v);
+    }
+    engine.verify();
+    const Membership oracle = greedy_mis(engine.graph(), engine.priorities());
+    engine.graph().for_each_node([&](NodeId v) {
+      ASSERT_EQ(engine.in_mis(v), oracle[v] != 0) << "node " << v << ", round " << round;
+    });
+  }
+}
+
 TEST(Batch, CorrelatedBatchCheaperThanSequential) {
   // Insert a hub and all its spokes at once: sequential application pays
   // for intermediate configurations the batch never materializes. Compare

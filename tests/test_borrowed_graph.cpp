@@ -26,7 +26,6 @@
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
 #include "core/engine_snapshot.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/flat_set.hpp"
@@ -379,15 +378,14 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
 
   // Borrowed set (shared_ptr ctors: graphs read the mapping in place).
   core::CascadeEngine cascade_b(snap, seed * 3 + 1);
-  core::ShardedCascadeEngine sharded_b(snap, seed * 3 + 1, /*shard_count=*/4,
-                                       /*frontier_capacity=*/64);
+  core::CascadeEngine batched_b(snap, seed * 3 + 1);  // fed through apply_batch
   core::DistMis dist_b(snap, seed * 3 + 1);
   core::AsyncMis async_b(snap, seed * 3 + 1, /*scheduler_seed=*/seed + 5);
   EXPECT_TRUE(cascade_b.graph().borrowed());
 
   // Materialized twins from the same file.
   core::CascadeEngine cascade_m(*snap, seed * 3 + 1);
-  core::ShardedCascadeEngine sharded_m(*snap, seed * 3 + 1, 4, 64);
+  core::CascadeEngine batched_m(*snap, seed * 3 + 1);
   core::DistMis dist_m(*snap, seed * 3 + 1);
   core::AsyncMis async_m(*snap, seed * 3 + 1, seed + 5);
   EXPECT_FALSE(cascade_m.graph().borrowed());
@@ -402,8 +400,8 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
     workload::apply(cascade_m, op);
     batch.clear();
     workload::append_op(batch, op);
-    (void)sharded_b.apply_batch(batch);
-    (void)sharded_m.apply_batch(batch);
+    (void)core::apply_batch(batched_b, batch);
+    (void)core::apply_batch(batched_m, batch);
     (void)workload::apply_with_cost(dist_b, op);
     (void)workload::apply_with_cost(dist_m, op);
     (void)workload::apply_with_cost(async_b, op);
@@ -413,7 +411,7 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
     bool agree = true;
     cascade_m.graph().for_each_node([&](NodeId v) {
       agree &= cascade_b.in_mis(v) == cascade_m.in_mis(v) &&
-               sharded_b.in_mis(v) == sharded_m.in_mis(v) &&
+               batched_b.in_mis(v) == batched_m.in_mis(v) &&
                dist_b.in_mis(v) == dist_m.in_mis(v) &&
                async_b.in_mis(v) == async_m.in_mis(v);
     });
@@ -421,12 +419,13 @@ TEST(BorrowedEngines, AllFourEnginesTrackMaterializedTwins) {
   }
 
   ASSERT_TRUE(cascade_b.graph() == cascade_m.graph());
+  ASSERT_TRUE(batched_b.graph() == batched_m.graph());
   ASSERT_TRUE(dist_b.graph() == dist_m.graph());
   ASSERT_TRUE(async_b.graph() == async_m.graph());
   EXPECT_EQ(cascade_b.membership(), cascade_m.membership());
   EXPECT_TRUE(cascade_b.priorities().rng_state() == cascade_m.priorities().rng_state());
   cascade_b.verify();
-  sharded_b.verify();
+  batched_b.verify();
   dist_b.verify();
   async_b.verify();
 }

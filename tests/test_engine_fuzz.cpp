@@ -3,9 +3,9 @@
 //
 // Each fuzz case generates a random churn trace (mixed graceful/abrupt edge
 // and node ops, unmutes included, across several n / density regimes) and
-// replays it op by op through all five dynamic engines — CascadeEngine,
-// ShardedCascadeEngine (driven through batch-of-one apply_batch so the
-// parallel rounds machinery actually runs), DistMis, AsyncMis and the
+// replays it op by op through five subjects — CascadeEngine, a second
+// CascadeEngine driven through batch-of-one core::apply_batch (the batch
+// path MisService and recovery replay run), DistMis, AsyncMis and the
 // lock-free CAS engine (whose worker count follows the DMIS_THREADS compile
 // knob, so the TSan leg fuzzes it 4-threaded) — plus the sequential
 // random-greedy oracle. History independence makes the comparison exact:
@@ -25,7 +25,7 @@
 //   dmis_snapshot verify --in <dump>.snap   # pre-failure state is a fixpoint
 //   dmis_snapshot save --trace <dump>.trc --engine --priority-seed <printed>
 //
-// The regimes × seeds grid below yields 16 traces × 5 engines = 80
+// The regimes × seeds grid below yields 16 traces × 5 subjects = 80
 // trace/engine combinations (the tier-1 bar is >= 65); graphs are kept small
 // enough that the whole suite stays well inside the ctest budget even under
 // the sanitizer jobs.
@@ -43,7 +43,6 @@
 #include "core/engine_snapshot.hpp"
 #include "core/greedy_mis.hpp"
 #include "core/lockfree_engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/rng.hpp"
@@ -149,8 +148,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
   const std::uint64_t prio_seed = seed * 1000 + 17;
 
   core::CascadeEngine cascade(g0, prio_seed);
-  core::ShardedCascadeEngine sharded(g0, prio_seed, /*shard_count=*/4,
-                                     /*frontier_capacity=*/64);
+  core::CascadeEngine batched(g0, prio_seed);
   core::DistMis dist(g0, prio_seed);
   core::AsyncMis async(g0, prio_seed, /*scheduler_seed=*/seed + 5);
   core::LockFreeEngine lockfree(g0, prio_seed);
@@ -167,18 +165,18 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
 
     batch.clear();
     workload::append_op(batch, op);
-    const core::BatchResult sharded_result = sharded.apply_batch(batch);
+    const core::BatchResult batch_result = core::apply_batch(batched, batch);
     const workload::CostSample dist_sample = workload::apply_with_cost(dist, op);
     const workload::CostSample async_sample = workload::apply_with_cost(async, op);
     workload::apply(lockfree, op);
     const std::uint64_t lockfree_adjustments = lockfree.last_report().adjustments;
 
-    if (sharded_result.report.adjustments != want_adjustments ||
+    if (batch_result.report.adjustments != want_adjustments ||
         dist_sample.cost.adjustments != want_adjustments ||
         async_sample.cost.adjustments != want_adjustments ||
         lockfree_adjustments != want_adjustments) {
       ADD_FAILURE() << "adjustment-count divergence: cascade=" << want_adjustments
-                    << " sharded=" << sharded_result.report.adjustments
+                    << " batch=" << batch_result.report.adjustments
                     << " dist=" << dist_sample.cost.adjustments
                     << " async=" << async_sample.cost.adjustments
                     << " lockfree=" << lockfree_adjustments << "\n  "
@@ -194,7 +192,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
     bool members_ok = true;
     cascade.graph().for_each_node([&](NodeId v) {
       const bool want = oracle[v] != 0;
-      members_ok &= cascade.in_mis(v) == want && sharded.in_mis(v) == want &&
+      members_ok &= cascade.in_mis(v) == want && batched.in_mis(v) == want &&
                     dist.in_mis(v) == want && async.in_mis(v) == want &&
                     lockfree.in_mis(v) == want;
     });
@@ -203,7 +201,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
       cascade.graph().for_each_node([&](NodeId v) {
         const bool want = oracle[v] != 0;
         if (bad == graph::kInvalidNode &&
-            (cascade.in_mis(v) != want || sharded.in_mis(v) != want ||
+            (cascade.in_mis(v) != want || batched.in_mis(v) != want ||
              dist.in_mis(v) != want || async.in_mis(v) != want ||
              lockfree.in_mis(v) != want))
           bad = v;
@@ -211,7 +209,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
       ADD_FAILURE() << "membership divergence from the greedy oracle at node " << bad
                     << ": oracle=" << (oracle[bad] != 0)
                     << " cascade=" << cascade.in_mis(bad)
-                    << " sharded=" << sharded.in_mis(bad)
+                    << " batch=" << batched.in_mis(bad)
                     << " dist=" << dist.in_mis(bad) << " async=" << async.in_mis(bad)
                     << " lockfree=" << lockfree.in_mis(bad)
                     << "\n  " << locate(regime_name, seed, i, op)
@@ -222,11 +220,12 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
 
   // End-of-trace deep checks: internal invariants and graph agreement.
   cascade.verify();
-  sharded.verify();
+  batched.verify();
   dist.verify();
   async.verify();
   lockfree.verify();
   EXPECT_TRUE(cascade.graph() == gen.graph());
+  EXPECT_TRUE(batched.graph() == gen.graph());
   EXPECT_TRUE(dist.graph() == gen.graph());
   EXPECT_TRUE(async.graph() == gen.graph());
   EXPECT_TRUE(lockfree.graph() == gen.graph());

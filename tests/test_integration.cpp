@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "clustering/dynamic_clustering.hpp"
+#include "core/async_mis.hpp"
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
 #include "core/template_engine.hpp"

@@ -1,6 +1,7 @@
-// Tests for the parallel plumbing under the sharded cascade engine:
-// util::ThreadPool (persistent fork/join workers) and util::SpscRing
-// (lock-free single-producer single-consumer frontier queue).
+// Tests for the parallel plumbing: util::ThreadPool (persistent fork/join
+// workers under LockFreeEngine and the service CLI's producers) and
+// util::SpscRing (the lock-free single-producer single-consumer queue under
+// each IngestQueue lane).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +28,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyRounds) {
-  // The sharded engine runs one job per frontier round; the pool must
+  // LockFreeEngine runs one job per repair; the pool must
   // survive thousands of publish/claim/check-in cycles without losing or
   // duplicating work.
   ThreadPool pool(2);
@@ -55,7 +56,8 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
 
 TEST(ThreadPool, ResultsVisibleAfterReturn) {
   // Plain (non-atomic) writes inside tasks must be visible to the caller
-  // after run_indexed returns — the barrier the sharded rounds rely on.
+  // after run_indexed returns — the barrier LockFreeEngine's quiescence
+  // relies on.
   ThreadPool pool(4);
   std::vector<std::uint64_t> out(1024, 0);
   for (int round = 0; round < 50; ++round) {

@@ -20,7 +20,6 @@
 #include "core/dist_mis.hpp"
 #include "core/async_mis.hpp"
 #include "core/engine_snapshot.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/rng.hpp"
@@ -148,7 +147,7 @@ TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
   from_snap.verify();
 }
 
-TEST(Snapshot, ShardedAndDistributedEnginesFromSnapshot) {
+TEST(Snapshot, DistributedEnginesFromSnapshot) {
   const DynamicGraph g = churned_graph(300, 41);
   TempFile file("snap_engines.snap");
   ASSERT_TRUE(g.save(file.path));
@@ -156,10 +155,6 @@ TEST(Snapshot, ShardedAndDistributedEnginesFromSnapshot) {
   ASSERT_TRUE(snap.open(file.path));
 
   const core::CascadeEngine oracle(g, 9);
-  core::ShardedCascadeEngine sharded(snap, 9, /*shard_count=*/4);
-  sharded.verify();
-  EXPECT_TRUE(oracle.mis_set() == sharded.mis_set());
-
   core::DistMis dist(snap, 9);
   dist.verify();
   EXPECT_TRUE(oracle.mis_set() == dist.mis_set());
@@ -356,8 +351,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
 
   // kAuto on a v2 snapshot warm-starts every engine flavor.
   core::CascadeEngine warm_cascade(snap, 11);
-  core::ShardedCascadeEngine warm_sharded(snap, 11, /*shard_count=*/4,
-                                          /*frontier_capacity=*/64);
+  core::CascadeEngine warm_batched(snap, 11);  // fed through apply_batch
   core::DistMis warm_dist(snap, 11);
   core::AsyncMis warm_async(snap, 11, /*scheduler_seed=*/13);
   core::CascadeEngine cold(snap, 11, graph::SnapshotLoad::kColdKeys);
@@ -366,7 +360,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
     cold.graph().for_each_node([&](NodeId v) {
       const bool want = cold.in_mis(v);
       ASSERT_EQ(warm_cascade.in_mis(v), want) << "cascade, step " << step;
-      ASSERT_EQ(warm_sharded.in_mis(v), want) << "sharded, step " << step;
+      ASSERT_EQ(warm_batched.in_mis(v), want) << "batched, step " << step;
       ASSERT_EQ(warm_dist.in_mis(v), want) << "dist, step " << step;
       ASSERT_EQ(warm_async.in_mis(v), want) << "async, step " << step;
     });
@@ -382,7 +376,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
     workload::apply(warm_cascade, op);
     batch.clear();
     workload::append_op(batch, op);
-    const core::BatchResult br = warm_sharded.apply_batch(batch);
+    const core::BatchResult br = core::apply_batch(warm_batched, batch);
     const workload::CostSample ds = workload::apply_with_cost(warm_dist, op);
     const workload::CostSample as = workload::apply_with_cost(warm_async, op);
     const std::uint64_t want = cold.last_report().adjustments;
@@ -394,7 +388,7 @@ TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
   expect_all_equal_cold(250);
   warm_dist.verify();
   warm_async.verify();
-  warm_sharded.verify();
+  warm_batched.verify();
 }
 
 TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
@@ -403,7 +397,6 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
   const DynamicGraph g = churned_graph(220, 71);
   core::DistMis dist(g, 17);
   core::AsyncMis async(g, 17, /*scheduler_seed=*/3);
-  core::ShardedCascadeEngine sharded(g, 17, /*shard_count=*/2);
   const core::CascadeEngine oracle(g, 17);
 
   for (const auto& [tag, save] :
@@ -413,9 +406,6 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
             }},
         {"async", [&](const std::string& p, std::string* e) {
            return core::save_snapshot(async, p, e);
-         }},
-        {"sharded", [&](const std::string& p, std::string* e) {
-           return core::save_snapshot(sharded, p, e);
          }}}) {
     TempFile file(std::string("v2_cross_") + tag + ".snap");
     std::string error;

@@ -1,8 +1,14 @@
-// Unit tests for trace serialization and the per-engine apply dispatch.
+// Unit tests for trace serialization and the workload::apply dispatch.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/async_mis.hpp"
+#include "core/cascade_engine.hpp"
+#include "core/dist_mis.hpp"
+#include "core/template_engine.hpp"
 #include "graph/generators.hpp"
 #include "workload/churn.hpp"
 #include "workload/trace.hpp"
@@ -76,6 +82,41 @@ TEST(Trace, AllEnginePathsAcceptTheSameTrace) {
     EXPECT_EQ(cascade.in_mis(v), dist.in_mis(v));
     EXPECT_EQ(cascade.in_mis(v), async.in_mis(v));
   }
+}
+
+TEST(Trace, ApplyHandsDistMisTheDeletionModeAndUnmute) {
+  // workload::apply must give DistMis the trace's graceful/abrupt marker and
+  // its insert/unmute distinction, costing exactly what a direct call costs.
+  dmis::util::Rng rng(5);
+  const auto g = dmis::graph::erdos_renyi(40, 0.3, rng);
+  const dmis::core::DistMis probe(g, 9);
+  NodeId member = 0;
+  while (!probe.in_mis(member)) ++member;
+  const std::vector<NodeId> nbrs = g.nodes();
+
+  using dmis::core::DeletionMode;
+  using dmis::core::DistMis;
+  const auto cost_of = [&](auto&& change) {
+    DistMis mis(g, 9);
+    change(mis);
+    return mis.network().cost().to_json();
+  };
+  const auto via_apply = [&](const GraphOp& op) {
+    return cost_of([&](DistMis& mis) { apply(mis, op); });
+  };
+  const std::string abrupt =
+      cost_of([&](DistMis& mis) { (void)mis.remove_node(member, DeletionMode::kAbrupt); });
+  const std::string graceful =
+      cost_of([&](DistMis& mis) { (void)mis.remove_node(member, DeletionMode::kGraceful); });
+  const std::string unmuted = cost_of([&](DistMis& mis) { (void)mis.unmute_node(nbrs); });
+  const std::string inserted = cost_of([&](DistMis& mis) { (void)mis.insert_node(nbrs); });
+  // The distinctions are visible in the cost, so the checks below have teeth.
+  ASSERT_NE(abrupt, graceful);
+  ASSERT_NE(unmuted, inserted);
+  EXPECT_EQ(via_apply(GraphOp::remove_node(member, /*abrupt=*/true)), abrupt);
+  EXPECT_EQ(via_apply(GraphOp::remove_node(member, /*abrupt=*/false)), graceful);
+  EXPECT_EQ(via_apply(GraphOp::unmute_node(nbrs)), unmuted);
+  EXPECT_EQ(via_apply(GraphOp::add_node(nbrs)), inserted);
 }
 
 TEST(TraceDeath, MalformedOpRejected) {
