@@ -60,6 +60,11 @@
 //                    the parallel adoption path, one thread per shard
 //                    stripe (reference runs record --loaders 1; the sweep
 //                    is for machines with real cores).
+//   verify_s         Snapshot::verify of the v2 file — payload checksum,
+//                    CSR <-> edge-table walk over the mapped table, and
+//                    the greedy-fixpoint check; what recovery runs on its
+//                    newest checkpoint. A fresh (untimed) open per rep, so
+//                    no rep reuses another's mapping; best of reps.
 // The v2 and v3 warm engines are differentially pinned outside the timed
 // region: identical membership and |MIS|, and identical post-restart RNG
 // state (one add_node continuation must re-decide identically on both).
@@ -110,6 +115,7 @@ struct Result {
   double v3_warm_ratio = 0;     // engine_warm_v3_s / engine_warm_s
   unsigned v3_loaders = 1;      // threads given to the parallel graph load
   double v3_load_s = 0;         // open + DynamicGraph::load(snap, loaders)
+  double verify_s = 0;          // Snapshot::verify of the v2 file
 };
 
 template <typename F>
@@ -362,6 +368,21 @@ Result run_size(NodeId n, double deg, std::uint64_t seed, int reps,
     std::exit(1);
   }
 
+  for (int rep = 0; rep < reps; ++rep) {
+    graph::Snapshot snap;
+    if (!snap.open(v2_path, &error)) {
+      std::fprintf(stderr, "v2 snapshot open failed: %s\n", error.c_str());
+      std::exit(1);
+    }
+    const auto t_verify = Clock::now();
+    if (!snap.verify(&error)) {
+      std::fprintf(stderr, "v2 snapshot verify failed: %s\n", error.c_str());
+      std::exit(1);
+    }
+    const double verify_s = std::chrono::duration<double>(Clock::now() - t_verify).count();
+    if (rep == 0 || verify_s < r.verify_s) r.verify_s = verify_s;
+  }
+
   // Correctness pin outside the timed region: the warm start must equal the
   // greedy recompute over the same persisted keys, node for node.
   {
@@ -429,7 +450,8 @@ bool validate(const std::vector<Result>& results) {
                     r.engine_warm_s > 0 && r.warm_speedup > 0 &&
                     r.borrow_open_s > 0 && r.borrow_first_op_s > 0 &&
                     r.borrow_speedup > 0 && r.engine_warm_v3_s > 0 &&
-                    r.v3_warm_ratio > 0 && r.v3_loaders >= 1 && r.v3_load_s > 0;
+                    r.v3_warm_ratio > 0 && r.v3_loaders >= 1 && r.v3_load_s > 0 &&
+                    r.verify_s > 0;
     if (!ok) {
       std::fprintf(stderr, "validate: malformed row at n=%u\n", r.n);
       return false;
@@ -460,7 +482,7 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
                  "\"warm_speedup\": %.2f, \"borrow_open_s\": %.6f, "
                  "\"borrow_first_op_s\": %.6f, \"borrow_speedup\": %.2f, "
                  "\"engine_warm_v3_s\": %.6f, \"v3_warm_ratio\": %.3f, "
-                 "\"v3_loaders\": %u, \"v3_load_s\": %.6f}%s\n",
+                 "\"v3_loaders\": %u, \"v3_load_s\": %.6f, \"verify_s\": %.6f}%s\n",
                  r.n, static_cast<unsigned long long>(r.edges),
                  static_cast<unsigned long long>(r.snapshot_bytes),
                  static_cast<unsigned long long>(r.trace_bytes), r.rebuild_s,
@@ -468,7 +490,7 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
                  r.speedup_vs_rebuild, r.engine_cold_s, r.engine_warm_s,
                  r.warm_speedup, r.borrow_open_s, r.borrow_first_op_s,
                  r.borrow_speedup, r.engine_warm_v3_s, r.v3_warm_ratio,
-                 r.v3_loaders, r.v3_load_s, i + 1 < results.size() ? "," : "");
+                 r.v3_loaders, r.v3_load_s, r.verify_s, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -540,6 +562,7 @@ int main(int argc, char** argv) {
     std::printf("            v3 warm=%8.4fs (%.2fx of v2)  "
                 "v3-load(%u loaders)=%8.4fs\n",
                 r.engine_warm_v3_s, r.v3_warm_ratio, r.v3_loaders, r.v3_load_s);
+    std::printf("            verify(v2)=%8.4fs\n", r.verify_s);
     std::fflush(stdout);
   }
   if (validate_flag && !validate(results)) return 1;

@@ -62,6 +62,10 @@ Tolerances (CI's contract — change them here, not in the workflow):
   interleaved ratio (checked even under --deterministic-only, against the
   reference AND against the intrinsic >= 10x floor at n >= 1e6), the
   absolute open time is wall clock (best-of-N fold, throughput band).
+  verify_s (Snapshot::verify of the v2 file, the check recovery runs on its
+  newest checkpoint) is wall clock too and gated the same way, only where
+  the reference has the column; --self-test also injects a verify_s-only
+  regression and requires the gate to catch it.
 
   The v3 columns (engine_warm_v3_s / v3_warm_ratio, PRs since the
   shard-partitioned snapshot landed) gate the ratio: the v3 warm load is
@@ -179,7 +183,7 @@ def merge_best(candidates):
                             f"n={row['n']} — nondeterministic snapshot writer")
                 for field in ("engine_warm_s", "engine_cold_s", "load_s",
                               "borrow_open_s", "borrow_first_op_s",
-                              "engine_warm_v3_s"):
+                              "engine_warm_v3_s", "verify_s"):
                     if field in row and field in cell:
                         cell[field] = min(cell[field], row[field])
         for cell in cells.values():
@@ -453,6 +457,16 @@ def check_snapshot(candidate, reference, tolerance, deterministic_only):
                     cell_failures.append(
                         f"n={key}: borrowed open regression {got:.6f}s vs "
                         f"reference {want:.6f}s (> {tolerance:.0%} slower)")
+        # Deep verify (checksum + CSR <-> edge-table walk + fixpoint) is
+        # what recovery runs on its newest checkpoint: wall clock, so it
+        # gets the borrow-open treatment — best-of-N fold, throughput band,
+        # 100us absolute grace, and only where the reference has the column.
+        if not deterministic_only and "verify_s" in row and "verify_s" in base:
+            got, want = row["verify_s"], base["verify_s"]
+            if got > want * (1.0 + tolerance) + 1e-4:
+                cell_failures.append(
+                    f"n={key}: snapshot verify regression {got:.6f}s vs "
+                    f"reference {want:.6f}s (> {tolerance:.0%} slower)")
         # v3 (shard-partitioned) columns: the v3-vs-v2 warm ratio is
         # strictly interleaved in-process, so S=1 must sit within the
         # V3_WARM_NOISE_BAR of the v2 warm load — the shard table only adds
@@ -702,6 +716,8 @@ def inject_regression(candidate, deterministic_only):
             if "borrow_speedup" in row:
                 row["borrow_open_s"] *= 2.0
                 row["borrow_speedup"] /= 2.0
+            if "verify_s" in row:
+                row["verify_s"] *= 2.0
             if "v3_warm_ratio" in row:
                 # Past the intrinsic noise bar regardless of the base times
                 # (engine_warm_s was just doubled above, so quadruple-plus-1
@@ -777,6 +793,20 @@ def main():
             print("FAIL: gate did not catch the injected 2x regression")
             return 1
         print("self-test OK: injected regression was caught")
+        # The verify_s band must hold on its own: a 2x verify_s with every
+        # other column untouched still fails the gate.
+        if (candidate.get("bench") == "snapshot" and not args.deterministic_only
+                and any("verify_s" in r for r in candidate["results"])):
+            print("--- self-test: injecting a 2x verify_s regression alone ---")
+            regressed = copy.deepcopy(candidate)
+            for row in regressed["results"]:
+                if "verify_s" in row:
+                    row["verify_s"] *= 2.0
+            if run_gate(regressed, candidate, args.tolerance,
+                        args.deterministic_only) == 0:
+                print("FAIL: gate did not catch the injected verify_s regression")
+                return 1
+            print("self-test OK: injected verify_s regression was caught")
     return 0
 
 

@@ -134,7 +134,7 @@ def validate_snapshot(data):
         require_metric(row, "snapshot_bytes", lo=1)
         require_metric(row, "trace_bytes", lo=1)
         for key in ("rebuild_s", "rebuild_tuned_s", "save_s", "load_s",
-                    "engine_cold_s", "engine_warm_s"):
+                    "engine_cold_s", "engine_warm_s", "verify_s"):
             require(row[key] > 0 and finite(row[key]), f"bad '{key}' in {row}")
         require_metric(row, "open_s")
         require(row["speedup_vs_rebuild"] > 0, f"bad speedup in {row}")

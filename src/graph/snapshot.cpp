@@ -1,6 +1,7 @@
 #include "graph/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -122,41 +123,48 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
   if (header_.edge_occupied > header_.edge_capacity - header_.edge_capacity / 8)
     return fail("edge table occupancy exceeds the 7/8 ceiling");
   // Two O(1) reads pin the CSR to the neighbor section even in shallow
-  // mode; the per-node monotonicity walk is the linear pass below.
+  // mode; the per-node monotonicity walk is linear_pass_error().
   const auto offs = csr_offsets();
   if (offs[0] != 0 || offs[bound] != half_edges)
     return fail("CSR offsets do not cover the neighbor section");
 
   if (validation == SnapshotValidation::kShallow) return true;
+  if (const char* message = linear_pass_error()) return fail(message);
+  deep_validated_ = true;
+  return true;
+}
 
+const char* Snapshot::linear_pass_error() const noexcept {
   // One linear pass: CSR offsets monotone and bounded, neighbor ids in
   // range, alive bytes boolean and consistent with node_count, dead nodes
   // degree-free, membership bytes (v2) boolean, zero on dead ids and
   // consistent with the extension header's mis_size. After this every
   // accessor is memory-safe and load() cannot be driven out of bounds by a
-  // corrupt file.
+  // corrupt file. Needs only what open()'s O(1) checks established:
+  // in-bounds sections and the CSR end-pins.
+  const std::uint64_t bound = header_.id_bound;
+  const auto offs = csr_offsets();
   const auto alive_b = alive_bytes();
   const std::uint8_t* member_b =
       has_engine_state() ? section<std::uint8_t>(ext_.membership_off) : nullptr;
   std::uint64_t live = 0;
   std::uint64_t members = 0;
   for (std::uint64_t v = 0; v < bound; ++v) {
-    if (offs[v + 1] < offs[v]) return fail("CSR offsets not monotone");
-    if (alive_b[v] > 1) return fail("alive section is not boolean");
-    if (alive_b[v] == 0 && offs[v + 1] != offs[v])
-      return fail("deleted node has neighbors");
+    if (offs[v + 1] < offs[v]) return "CSR offsets not monotone";
+    if (alive_b[v] > 1) return "alive section is not boolean";
+    if (alive_b[v] == 0 && offs[v + 1] != offs[v]) return "deleted node has neighbors";
     live += alive_b[v];
     if (member_b != nullptr) {
-      if (member_b[v] > 1) return fail("membership section is not boolean");
-      if (member_b[v] > alive_b[v]) return fail("dead node marked as MIS member");
+      if (member_b[v] > 1) return "membership section is not boolean";
+      if (member_b[v] > alive_b[v]) return "dead node marked as MIS member";
       members += member_b[v];
     }
   }
-  if (live != header_.node_count) return fail("alive section disagrees with node_count");
+  if (live != header_.node_count) return "alive section disagrees with node_count";
   if (member_b != nullptr && members != ext_.mis_size)
-    return fail("membership section disagrees with mis_size");
+    return "membership section disagrees with mis_size";
   for (const NodeId u : csr_neighbors())
-    if (u >= bound) return fail("neighbor id out of range");
+    if (u >= bound) return "neighbor id out of range";
   // Full edge-table shape validation (capacity, occupancy ceiling,
   // classification counts) — the same predicate FlatSet::restore enforces,
   // so load() cannot fail on any snapshot open() accepted: corrupt tables
@@ -165,9 +173,8 @@ bool Snapshot::open(const std::string& path, std::string* error, bool force_read
   if (!util::FlatSet::validate_table_shape(
           edge_ctrl(), static_cast<std::size_t>(header_.edge_count),
           static_cast<std::size_t>(header_.edge_occupied)))
-    return fail("edge table fails structural validation");
-  deep_validated_ = true;
-  return true;
+    return "edge table fails structural validation";
+  return nullptr;
 }
 
 bool Snapshot::verify(std::string* error) const {
@@ -181,42 +188,80 @@ bool Snapshot::verify(std::string* error) const {
     set_error(error, "payload checksum mismatch (corrupt snapshot)");
     return false;
   }
-  // Adopt the serialized edge table, then check it against the CSR: every
-  // adjacency pair must be a table hit with a reciprocal neighbor entry, and
-  // the table must contain nothing else (size == edge_count, each directed
-  // pair counted once per side).
-  util::FlatSet edges;
-  if (!edges.restore(edge_ctrl(), edge_keys(), static_cast<std::size_t>(edge_count()),
-                     static_cast<std::size_t>(edge_occupied()))) {
+  // A shallow open skipped the linear pass, and the walks below index
+  // through CSR offsets and neighbor ids: prove them in bounds first.
+  if (!deep_validated_) {
+    if (const char* message = linear_pass_error()) {
+      set_error(error, message);
+      return false;
+    }
+  }
+  // The edge table is probed where it lies in the mapping, never copied.
+  // Its shape is what bounds every probe chain (and open(kFull) or the
+  // linear pass above already checked it; the recheck costs one SWAR scan).
+  const auto ctrl = edge_ctrl();
+  const auto table = edge_keys();
+  if (!util::FlatSet::validate_table_shape(ctrl, static_cast<std::size_t>(edge_count()),
+                                           static_cast<std::size_t>(edge_occupied()))) {
     set_error(error, "edge table fails structural validation");
     return false;
   }
-  // Linear-time undirectedness check (a per-entry scan of the other
-  // endpoint's list would be quadratic on hubs). Each table key can only be
+  // Check the table against the CSR: every adjacency pair must be a table
+  // hit with a reciprocal neighbor entry, and the table must contain
+  // nothing else (size == edge_count, each directed pair counted once per
+  // side). Linear-time undirectedness check (a per-entry scan of the other
+  // endpoint's list would be quadratic on hubs): each table key can only be
   // produced by its two endpoints, so with the totals already validated at
   // open (2·edge_count entries, edge_count table keys) it suffices that
   // every entry's key is in the table and no node lists the same neighbor
   // twice: each key then accounts for exactly two entries, one per side —
   // i.e. the adjacency is symmetric.
-  const auto offs = csr_offsets();
-  const auto nbrs = csr_neighbors();
+  //
+  // On a large table nearly every probe misses cache, so the entries go in
+  // blocks: first each entry's key and hash, then the probes in CSR order
+  // with the home group of the entry kAhead places on already in flight.
+  // Every entry gets all its checks, in CSR order, before the next entry's,
+  // so the first bad entry decides the message.
+  constexpr std::size_t kBlock = 1024;
+  constexpr std::size_t kAhead = 8;
+  std::array<std::uint64_t, kBlock> block_keys{};
+  std::array<std::uint64_t, kBlock> block_hashes{};
+  std::array<NodeId, kBlock> block_owners{};
+  const std::uint64_t* offs = csr_offsets().data();
+  const NodeId* nbrs = csr_neighbors().data();
+  const std::uint8_t* alive_b = alive_bytes().data();
+  const std::uint64_t entries = 2 * edge_count();
   std::vector<NodeId> last_lister(id_bound(), kInvalidNode);
-  for (NodeId v = 0; v < id_bound(); ++v) {
-    for (std::uint64_t i = offs[v]; i < offs[v + 1]; ++i) {
-      const NodeId u = nbrs[static_cast<std::size_t>(i)];
-      if (u == v) {
+  NodeId lister = 0;  // owner of the next entry (offs is monotone, ends at `entries`)
+  for (std::uint64_t first = 0; first < entries; first += kBlock) {
+    const auto len = static_cast<std::size_t>(std::min<std::uint64_t>(kBlock, entries - first));
+    for (std::size_t k = 0; k < len; ++k) {
+      while (offs[lister + 1] <= first + k) ++lister;
+      block_owners[k] = lister;
+      block_keys[k] = edge_key(nbrs[first + k], lister);
+      block_hashes[k] = util::FlatSet::hash(block_keys[k]);
+    }
+    for (std::size_t k = 0; k < std::min(kAhead, len); ++k)
+      util::FlatSet::prefetch_home(ctrl, table, block_hashes[k]);
+    for (std::size_t k = 0; k < len; ++k) {
+      if (k + kAhead < len)
+        util::FlatSet::prefetch_home(ctrl, table, block_hashes[k + kAhead]);
+      const NodeId u = nbrs[first + k];
+      const NodeId owner = block_owners[k];
+      if (u == owner) {
         set_error(error, "self-loop in adjacency");
         return false;
       }
-      if (!alive(u) || !edges.contains(edge_key(u, v))) {
+      if (alive_b[u] == 0 ||
+          !util::FlatSet::probe_hashed(ctrl, table, block_keys[k], block_hashes[k])) {
         set_error(error, "adjacency entry without a matching edge-table key");
         return false;
       }
-      if (last_lister[u] == v) {
+      if (last_lister[u] == owner) {
         set_error(error, "duplicate adjacency entry");
         return false;
       }
-      last_lister[u] = v;
+      last_lister[u] = owner;
     }
   }
   if (has_engine_state()) {

@@ -273,6 +273,12 @@ class Snapshot {
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
 
  private:
+  /// open()'s per-node/per-entry validation pass (everything kShallow
+  /// skips): nullptr when the structure is sound, else the rejection
+  /// message. verify() reruns it on a shallow-opened file before walking
+  /// the CSR.
+  [[nodiscard]] const char* linear_pass_error() const noexcept;
+
   template <typename T>
   [[nodiscard]] const T* section(std::uint64_t off) const noexcept {
     return reinterpret_cast<const T*>(file_.data() + off);

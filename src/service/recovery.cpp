@@ -67,8 +67,11 @@ std::optional<core::CascadeEngine> RecoveryManager::recover(RecoveryReport* repo
       bool good = candidate.open(it->path, &cp_error, options_.force_read);
       good = good && (candidate.has_engine_state() ||
                       (set_error(&cp_error, it->path + ": no engine state (v1)"), false));
-      good = good &&
-             (!options_.verify_checkpoint_checksum || candidate.verify(&cp_error));
+      if (good && options_.verify_checkpoint_checksum) {
+        const auto t_verify = Clock::now();
+        good = candidate.verify(&cp_error);
+        r.verify_s += seconds_since(t_verify);
+      }
       if (!good) {
         ++r.checkpoints_rejected;
         r.detail += "rejected checkpoint: " + cp_error + "\n";

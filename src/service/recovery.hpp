@@ -93,6 +93,8 @@ struct RecoveryReport {
   // tail replay. load_s is the number the borrowed path collapses —
   // borrow is O(1) in graph size while a materialized load is O(n + m).
   double open_s = 0;
+  /// The part of open_s spent in Snapshot::verify (every candidate tried).
+  double verify_s = 0;
   double load_s = 0;
   double warm_s = 0;
   double replay_s = 0;

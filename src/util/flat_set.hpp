@@ -213,9 +213,22 @@ class FlatSet {
   [[nodiscard]] static bool probe_raw(std::span<const std::uint8_t> ctrl,
                                       std::span<const std::uint64_t> keys,
                                       std::uint64_t key) noexcept {
+    return probe_hashed(ctrl, keys, key, hash(key));
+  }
+
+  /// The probe hash of `key`. Batched callers compute a block of these up
+  /// front, then probe_hashed() one key while prefetch_home() warms the
+  /// home group of a key a few entries ahead.
+  [[nodiscard]] static constexpr std::uint64_t hash(std::uint64_t key) noexcept {
+    return mix(key);
+  }
+
+  /// probe_raw() with `h` == hash(key) already computed.
+  [[nodiscard]] static bool probe_hashed(std::span<const std::uint8_t> ctrl,
+                                         std::span<const std::uint64_t> keys,
+                                         std::uint64_t key, std::uint64_t h) noexcept {
     if (ctrl.empty()) return false;
     const std::size_t group_mask = ctrl.size() / kGroupSize - 1;
-    const std::uint64_t h = mix(key);
     const std::uint8_t h2 = to_h2(h);
     std::size_t g = (static_cast<std::size_t>(h >> 7)) & group_mask;
     for (std::size_t scanned = 0; scanned <= group_mask; ++scanned) {
@@ -230,6 +243,25 @@ class FlatSet {
     return false;  // corrupt table: no empty slot on the whole probe ring
   }
 
+  /// Prefetch the home group of hash `h` in a serialized table: its 16
+  /// control bytes and the cache lines holding its 16 key slots. A hint
+  /// only — no effect on results, and a no-op on an empty table.
+  static void prefetch_home(std::span<const std::uint8_t> ctrl,
+                            std::span<const std::uint64_t> keys,
+                            std::uint64_t h) noexcept {
+    if (ctrl.empty()) return;
+    const std::size_t first =
+        ((static_cast<std::size_t>(h >> 7)) & (ctrl.size() / kGroupSize - 1)) * kGroupSize;
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(ctrl.data() + first);
+    __builtin_prefetch(keys.data() + first);
+    __builtin_prefetch(keys.data() + first + kGroupSize / 2);
+#else
+    (void)keys;
+    (void)first;
+#endif
+  }
+
   /// Validate a serialized control array without adopting it: capacity
   /// shape (0, or a power of two >= kGroupSize), the 7/8 occupancy ceiling
   /// probe termination depends on, and the control-byte classification
@@ -238,8 +270,8 @@ class FlatSet {
   /// side; graph::Snapshot::open() calls it so a snapshot it accepts can
   /// never fail restore() later. Whether the keys are the *right* keys is
   /// a consistency question the caller owns (graph::Snapshot::verify()
-  /// cross-checks every adjacency pair against the adopted table and the
-  /// payload checksum).
+  /// cross-checks every adjacency pair against the mapped table, probed in
+  /// place, and the payload checksum).
   [[nodiscard]] static bool validate_table_shape(std::span<const std::uint8_t> ctrl,
                                                  std::size_t expected_size,
                                                  std::size_t expected_occupied) noexcept {

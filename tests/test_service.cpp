@@ -265,6 +265,9 @@ TEST(Service, CheckpointTruncatesWalAndBoundsReplay) {
   EXPECT_EQ(service->recovery().checkpoint_lsn, checkpoint_lsn);
   EXPECT_EQ(service->recovery().replayed_ops, total_ops(batches) - checkpoint_lsn);
   EXPECT_FALSE(service->recovery().torn_tail) << service->recovery().detail;
+  // The checkpoint was verified, and that time is part of the open stage.
+  EXPECT_GT(service->recovery().verify_s, 0.0);
+  EXPECT_LE(service->recovery().verify_s, service->recovery().open_s);
   expect_same(service->engine(), reference(batches, batches.size(), 7),
               "checkpoint + tail replay");
   ASSERT_TRUE(service->close(&error)) << error;

@@ -21,13 +21,17 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "util/binary_io.hpp"
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 
@@ -612,6 +616,356 @@ TEST_F(SnapshotFuzz, NonFixpointMembershipRejectedByVerifyNotOpen) {
   ASSERT_TRUE(snap.open(file.path, &error)) << error;
   EXPECT_FALSE(snap.verify(&error));
   EXPECT_NE(error.find("fixpoint"), std::string::npos) << error;
+}
+
+// --- Re-checksummed structural mutants ---------------------------------
+//
+// The checksum covers every payload byte, so the flips above almost never
+// get past verify()'s first check. The mutants below recompute
+// payload_checksum after the edit: open(kFull) accepts them, and verify()
+// must reject them on the adjacency, edge-table and fixpoint checks alone.
+
+/// A snapshot image opened up for byte-precise edits.
+struct Image {
+  explicit Image(std::vector<std::uint8_t> b) : bytes(std::move(b)) {
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    if (header.version >= graph::kSnapshotVersionEngine)
+      std::memcpy(&ext, bytes.data() + sizeof(header), sizeof(ext));
+  }
+
+  template <typename T>
+  T* at(std::uint64_t off) {
+    return reinterpret_cast<T*>(bytes.data() + off);
+  }
+  std::uint8_t* alive() { return at<std::uint8_t>(header.alive_off); }
+  std::uint64_t* offs() { return at<std::uint64_t>(header.offsets_off); }
+  NodeId* nbrs() { return at<NodeId>(header.neighbors_off); }
+  std::uint8_t* ctrl() { return at<std::uint8_t>(header.edge_ctrl_off); }
+  std::uint64_t* keys() { return at<std::uint64_t>(header.edge_keys_off); }
+  std::uint64_t* prio() { return at<std::uint64_t>(ext.keys_off); }
+  std::uint8_t* member() { return at<std::uint8_t>(ext.membership_off); }
+  bool engine_state() const { return header.version >= graph::kSnapshotVersionEngine; }
+  std::uint64_t entries() const { return 2 * header.edge_count; }
+  std::size_t groups() const { return static_cast<std::size_t>(header.edge_capacity) / 16; }
+
+  /// The table's probe geometry for `key` (util::FlatSet's layout).
+  std::size_t home_group(std::uint64_t key) const {
+    return static_cast<std::size_t>(util::FlatSet::hash(key) >> 7) & (groups() - 1);
+  }
+  static std::uint8_t h2(std::uint64_t key) {
+    return static_cast<std::uint8_t>(util::FlatSet::hash(key) & 0x7FU);
+  }
+  bool group_has_empty(std::size_t g) {
+    for (std::size_t s = 0; s < 16; ++s)
+      if (ctrl()[g * 16 + s] == kCtrlEmpty) return true;
+    return false;
+  }
+  /// A live node with at least `degree` neighbors (kInvalidNode if none).
+  NodeId live_node(std::uint64_t degree) {
+    for (NodeId v = header.id_bound / 2; v < header.id_bound; ++v)
+      if (alive()[v] != 0 && offs()[v + 1] - offs()[v] >= degree) return v;
+    for (NodeId v = 0; v < header.id_bound / 2; ++v)
+      if (alive()[v] != 0 && offs()[v + 1] - offs()[v] >= degree) return v;
+    return graph::kInvalidNode;
+  }
+
+  /// Recompute the payload checksum so the edit survives verify()'s first
+  /// check, and write the image to `path`.
+  void reseal_to(const std::string& path) {
+    header.payload_checksum = util::fnv1a64(bytes.data() + sizeof(header),
+                                            bytes.size() - sizeof(header));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    write_bytes(path, bytes);
+  }
+
+  static constexpr std::uint8_t kCtrlEmpty = 0x80;  // FlatSet's empty slot
+  std::vector<std::uint8_t> bytes;
+  graph::SnapshotHeader header{};
+  graph::SnapshotEngineExt ext{};
+};
+
+/// verify() as it was before it probed the mapped table in place: the
+/// checksum, then the table adopted into a heap FlatSet (restore), then
+/// the CSR walk and the fixpoint pass. Kept as the differential oracle for
+/// the in-place kernel on deep-opened files: same verdict, same message.
+bool reference_verify(const Snapshot& snap, const std::vector<std::uint8_t>& bytes,
+                      std::string* error) {
+  const auto fail = [&](const char* message) {
+    *error = message;
+    return false;
+  };
+  const std::size_t head = sizeof(graph::SnapshotHeader);
+  if (util::fnv1a64(bytes.data() + head, bytes.size() - head) !=
+      snap.header().payload_checksum)
+    return fail("payload checksum mismatch (corrupt snapshot)");
+  util::FlatSet edges;
+  if (!edges.restore(snap.edge_ctrl(), snap.edge_keys(),
+                     static_cast<std::size_t>(snap.edge_count()),
+                     static_cast<std::size_t>(snap.edge_occupied())))
+    return fail("edge table fails structural validation");
+  std::vector<NodeId> last_lister(snap.id_bound(), graph::kInvalidNode);
+  for (NodeId v = 0; v < snap.id_bound(); ++v) {
+    for (const NodeId u : snap.neighbors(v)) {
+      if (u == v) return fail("self-loop in adjacency");
+      if (!snap.alive(u) || !edges.contains(graph::edge_key(u, v)))
+        return fail("adjacency entry without a matching edge-table key");
+      if (last_lister[u] == v) return fail("duplicate adjacency entry");
+      last_lister[u] = v;
+    }
+  }
+  if (snap.has_engine_state()) {
+    const auto keys = snap.priority_keys();
+    const auto member = snap.membership_bytes();
+    for (NodeId v = 0; v < snap.id_bound(); ++v) {
+      if (!snap.alive(v)) continue;
+      bool blocked = false;
+      for (const NodeId u : snap.neighbors(v))
+        blocked |= member[u] != 0 &&
+                   (keys[u] != keys[v] ? keys[u] < keys[v] : u < v);
+      if ((member[v] != 0) == blocked)
+        return fail("persisted membership is not the greedy fixpoint of the "
+                    "persisted priority keys");
+    }
+  }
+  return true;
+}
+
+constexpr const char* kMissingKey = "adjacency entry without a matching edge-table key";
+
+/// Move a table key out of its probe range: empty its slot (in a group
+/// that already has an empty slot, so no other key's probe changes) and
+/// re-place it, with its own h2, in a group past that empty slot.
+bool move_key_past_empty_group(Image& img) {
+  const std::size_t groups = img.groups();
+  for (std::size_t i = 0; i < groups * 16; ++i) {
+    const std::size_t old_group = i / 16;
+    if (img.ctrl()[i] >= 0x80 || !img.group_has_empty(old_group)) continue;
+    const std::uint64_t key = img.keys()[i];
+    const std::size_t home = img.home_group(key);
+    const std::size_t reach = (old_group + groups - home) % groups;
+    for (std::size_t step = 1; step < groups; ++step) {
+      const std::size_t g = (old_group + step) % groups;
+      if ((g + groups - home) % groups <= reach || !img.group_has_empty(g)) continue;
+      for (std::size_t s = 0; s < 16; ++s) {
+        std::uint8_t& c = img.ctrl()[g * 16 + s];
+        if (c != Image::kCtrlEmpty) continue;
+        c = Image::h2(key);
+        img.keys()[g * 16 + s] = key;
+        img.ctrl()[i] = Image::kCtrlEmpty;
+        img.keys()[i] = 0;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Rewrite the h2 control byte of one full slot (still a full-slot value).
+bool rewrite_h2(Image& img) {
+  for (std::size_t i = 0; i < img.groups() * 16; ++i) {
+    if (img.ctrl()[i] >= 0x80) continue;
+    img.ctrl()[i] ^= 0x01;
+    return true;
+  }
+  return false;
+}
+
+/// Replace one table key by a reachable foreign key (a pair of ids that is
+/// not an edge, placed in its own home group with its own h2): the table
+/// then holds a key no adjacency entry lists.
+bool plant_foreign_key(Image& img) {
+  std::set<std::uint64_t> listed;
+  for (NodeId v = 0; v < img.header.id_bound; ++v)
+    for (std::uint64_t i = img.offs()[v]; i < img.offs()[v + 1]; ++i)
+      listed.insert(graph::edge_key(img.nbrs()[i], v));
+  for (std::size_t i = 0; i < img.groups() * 16; ++i) {
+    if (img.ctrl()[i] >= 0x80) continue;
+    for (NodeId a = 0; a < img.header.id_bound; ++a) {
+      for (NodeId b = a + 1; b < img.header.id_bound; ++b) {
+        const std::uint64_t key = graph::edge_key(a, b);
+        if (listed.count(key) != 0 || img.home_group(key) != i / 16) continue;
+        img.keys()[i] = key;
+        img.ctrl()[i] = Image::h2(key);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Node v lists its first neighbor twice (over its second one).
+bool duplicate_entry(Image& img) {
+  const NodeId v = img.live_node(2);
+  if (v == graph::kInvalidNode) return false;
+  img.nbrs()[img.offs()[v] + 1] = img.nbrs()[img.offs()[v]];
+  return true;
+}
+
+/// Node v lists itself.
+bool self_loop(Image& img) {
+  const NodeId v = img.live_node(1);
+  if (v == graph::kInvalidNode) return false;
+  img.nbrs()[img.offs()[v]] = v;
+  return true;
+}
+
+/// Node v lists a dead id.
+bool dead_neighbor(Image& img) {
+  const NodeId v = img.live_node(1);
+  NodeId dead = 0;
+  while (dead < img.header.id_bound && img.alive()[dead] != 0) ++dead;
+  if (v == graph::kInvalidNode || dead == img.header.id_bound) return false;
+  img.nbrs()[img.offs()[v]] = dead;
+  return true;
+}
+
+TEST_F(SnapshotFuzz, RechecksummedStructuralMutantsRejectedByVerify) {
+  struct Mutant {
+    const char* name;
+    bool (*edit)(Image&);
+    const char* message;
+  };
+  const Mutant mutants[] = {
+      {"key moved past an empty group", move_key_past_empty_group, kMissingKey},
+      {"rewritten h2 control byte", rewrite_h2, kMissingKey},
+      {"surplus foreign key", plant_foreign_key, kMissingKey},
+      {"duplicated adjacency entry", duplicate_entry, "duplicate adjacency entry"},
+      {"self-loop", self_loop, "self-loop in adjacency"},
+      {"dead-node neighbor", dead_neighbor, kMissingKey},
+  };
+  for (Corpus* c : {v1_.get(), v2_.get(), v3_.get()}) {
+    for (const Mutant& m : mutants) {
+      SCOPED_TRACE(c->file.path + ": " + m.name);
+      Image img(c->pristine);
+      ASSERT_TRUE(m.edit(img));
+      img.reseal_to(c->file.path);
+      Snapshot snap;
+      std::string error;
+      ASSERT_TRUE(snap.open(c->file.path, &error)) << error;
+      EXPECT_FALSE(snap.verify(&error));
+      EXPECT_EQ(error, m.message);
+      std::string reference_error;
+      EXPECT_FALSE(reference_verify(snap, img.bytes, &reference_error));
+      EXPECT_EQ(reference_error, m.message);
+    }
+    write_bytes(c->file.path, c->pristine);
+  }
+}
+
+/// One random edit from the families that reach verify()'s checks once
+/// the checksum is resealed: neighbor ids, entry order, control bytes,
+/// table keys and slots, priority keys, membership bytes.
+void random_structural_edit(Image& img, util::Rng& rng) {
+  const std::uint64_t entries = img.entries();
+  const std::uint64_t cap = img.header.edge_capacity;
+  const NodeId bound = img.header.id_bound;
+  if (entries == 0 || cap == 0 || bound == 0) return;
+  const auto below = [&](std::uint64_t n) { return rng.below(n); };
+  switch (below(img.engine_state() ? 8 : 6)) {
+    case 0:
+      img.nbrs()[below(entries)] = static_cast<NodeId>(below(bound));
+      break;
+    case 1:
+      img.nbrs()[below(entries)] ^= NodeId{1} << below(9);
+      break;
+    case 2: {
+      const std::uint64_t i = below(entries);
+      const std::uint64_t j = below(2) == 0 ? (i ^ 1) % entries : below(entries);
+      std::swap(img.nbrs()[i], img.nbrs()[j]);
+      break;
+    }
+    case 3:
+      img.ctrl()[below(cap)] ^= static_cast<std::uint8_t>(1U << below(8));
+      break;
+    case 4:
+      img.keys()[below(cap)] ^= std::uint64_t{1} << below(64);
+      break;
+    case 5: {
+      const std::uint64_t i = below(cap);
+      const std::uint64_t j = below(2) == 0 ? (i & ~std::uint64_t{15}) + below(16)
+                                            : below(cap);
+      std::swap(img.ctrl()[i], img.ctrl()[j]);
+      std::swap(img.keys()[i], img.keys()[j]);
+      break;
+    }
+    case 6:
+      img.prio()[below(bound)] ^= std::uint64_t{1} << below(64);
+      break;
+    default:
+      std::swap(img.member()[below(bound)], img.member()[below(bound)]);
+      break;
+  }
+}
+
+TEST_F(SnapshotFuzz, VerifyMatchesRestoreBasedReferenceOnRechecksummedMutants) {
+  // Differential: over seeded random structural edits with the checksum
+  // resealed, every open(kFull)-accepted mutant gets the same verdict and
+  // the same message from verify() as from the restore-based reference.
+  util::Rng rng(0x5EA1);
+  Corpus* corpora[] = {v1_.get(), v2_.get(), v3_.get()};
+  int accepted = 0;
+  int rejected_by_verify = 0;
+  std::set<std::string> messages;
+  for (int attempt = 0; attempt < 20'000 && accepted < 600; ++attempt) {
+    Corpus& c = *corpora[attempt % 3];
+    Image img(c.pristine);
+    const int edits = 1 + static_cast<int>(rng.below(2));
+    for (int e = 0; e < edits; ++e) random_structural_edit(img, rng);
+    img.reseal_to(c.file.path);
+    Snapshot snap;
+    std::string error;
+    if (!snap.open(c.file.path, &error)) continue;
+    ++accepted;
+    std::string got_error;
+    std::string want_error;
+    const bool got = snap.verify(&got_error);
+    const bool want = reference_verify(snap, img.bytes, &want_error);
+    ASSERT_EQ(got, want) << "attempt " << attempt << ": " << got_error << " | "
+                         << want_error;
+    ASSERT_EQ(got_error, want_error) << "attempt " << attempt;
+    if (!got) {
+      ++rejected_by_verify;
+      messages.insert(got_error);
+    }
+  }
+  for (Corpus* c : corpora) write_bytes(c->file.path, c->pristine);
+  EXPECT_GE(accepted, 500);
+  // Both verdicts, and the structural checks beyond the checksum, fired.
+  EXPECT_GT(rejected_by_verify, 0);
+  EXPECT_LT(rejected_by_verify, accepted);
+  EXPECT_GE(messages.size(), 3U);
+}
+
+TEST_F(SnapshotFuzz, ShallowCorruptCsrOffsetRejectedByVerify) {
+  // ShallowCorruptCsrOffsetAbortsOnFirstTouch's mutant with its checksum
+  // resealed: kShallow accepts it, and verify() walks every CSR range, so
+  // it must run open()'s linear pass first and reject with that pass's
+  // message instead of reading past the neighbor section.
+  for (Corpus* c : {v1_.get(), v2_.get(), v3_.get()}) {
+    SCOPED_TRACE(c->file.path);
+    Image img(c->pristine);
+    const NodeId victim = img.live_node(1);
+    ASSERT_NE(victim, graph::kInvalidNode);
+    img.offs()[victim] = img.entries() + (1ULL << 20);
+    img.reseal_to(c->file.path);
+
+    Snapshot snap;
+    std::string open_error;
+    EXPECT_FALSE(snap.open(c->file.path, &open_error));
+    std::string error;
+    ASSERT_TRUE(snap.open(c->file.path, &error, /*force_read=*/false,
+                          graph::SnapshotValidation::kShallow))
+        << error;
+    EXPECT_FALSE(snap.verify(&error));
+    EXPECT_EQ(c->file.path + ": " + error, open_error);
+
+    // The pristine file still verifies from a shallow open.
+    write_bytes(c->file.path, c->pristine);
+    ASSERT_TRUE(snap.open(c->file.path, &error, /*force_read=*/false,
+                          graph::SnapshotValidation::kShallow))
+        << error;
+    EXPECT_TRUE(snap.verify(&error)) << error;
+  }
 }
 
 }  // namespace

@@ -156,6 +156,32 @@ TEST(UpdateAlloc, BorrowOpenAllocatesIndependentOfGraphSize) {
   EXPECT_EQ(large, small) << "borrow() heap bytes grew with n";
 }
 
+TEST(UpdateAlloc, VerifyProbesTheMappedEdgeTableWithoutCopyingIt) {
+  // Snapshot::verify checks every CSR entry against the edge table where it
+  // lies in the mapping. Its heap use is one per-id scratch array plus a
+  // fixed block — never a copy of the table's ctrl + keys sections (9 B
+  // per slot).
+  const NodeId n = 100'000;
+  util::Rng rng(n);
+  const graph::DynamicGraph g = graph::random_avg_degree(n, 8.0, rng);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dmis_alloc_verify.snap").string();
+  core::CascadeEngine source(g, 7);
+  ASSERT_TRUE(core::save_snapshot(source, path));
+  graph::Snapshot snap;
+  ASSERT_TRUE(snap.open(path));
+  const std::uint64_t table_bytes =
+      snap.edge_ctrl().size_bytes() + snap.edge_keys().size_bytes();
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  const bool verified = snap.verify();
+  const std::uint64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(verified);
+  EXPECT_LT(bytes, table_bytes) << "verify() copied the edge table";
+  EXPECT_LE(bytes, std::uint64_t{n} * sizeof(NodeId) + (64U << 10))
+      << "verify() heap use is not O(id_bound) + a fixed block";
+  std::filesystem::remove(path);
+}
+
 TEST(UpdateAlloc, ColdEngineEventuallyStopsAllocating) {
   // From a cold start the engine may allocate (vector growth, rehashes) but
   // the allocation rate must go to zero: successive windows of the same

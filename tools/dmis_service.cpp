@@ -304,9 +304,9 @@ int cmd_recover(util::Cli& cli) {
               static_cast<unsigned long long>(r.replayed_ops),
               static_cast<unsigned long long>(r.segments_scanned),
               r.torn_tail ? ", torn tail shed" : "");
-  std::printf("rto %.6fs = open %.6fs + %s %.6fs + warm %.6fs + replay %.6fs "
-              "(+ wal writer)\n",
-              rto_s, r.open_s, r.borrowed ? "borrow" : "load", r.load_s,
+  std::printf("rto %.6fs = open %.6fs (verify %.6fs) + %s %.6fs + warm %.6fs + "
+              "replay %.6fs (+ wal writer)\n",
+              rto_s, r.open_s, r.verify_s, r.borrowed ? "borrow" : "load", r.load_s,
               r.warm_s, r.replay_s);
   if (!r.detail.empty()) std::printf("detail:\n%s", r.detail.c_str());
   std::printf("|MIS| %zu, fingerprint %016llx\n", svc->engine().mis_size(),
