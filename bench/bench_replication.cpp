@@ -20,6 +20,11 @@
 //   shipped_bytes / shipments / wal_bytes
 //                         wire cost of replication vs. the log it carries
 //                         (deterministic; gated bit-identical),
+//   ship_us_per_batch / poll_us_per_batch
+//                         mean wall time per batch of LogShipper::drain and
+//                         FollowerService::poll in the ingest loop — the
+//                         two non-engine replication stages, named so the
+//                         gate can hold them (min fold over reps),
 //   catchup_s             final drain of the dead leader's directory —
 //                         what remained unshipped at the moment of death,
 //   failover_rto_s        FollowerService::promote — final poll + WAL
@@ -28,6 +33,7 @@
 // The promoted engine is compared against a never-crashed reference fed the
 // same stream (membership + RNG state) outside the timed region, so every
 // cell that exists has survived the failover differential check.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -64,6 +70,8 @@ struct Result {
   std::uint64_t applied_ops = 0;   // follower ops applied end to end
   double mean_lag_ops = 0;         // deterministic in ops
   std::uint64_t max_lag_ops = 0;   // deterministic in ops
+  double ship_us_per_batch = 0;    // min over reps
+  double poll_us_per_batch = 0;    // min over reps
   double catchup_s = 0;            // min over reps
   double failover_rto_s = 0;       // min over reps
   std::uint64_t promoted_lsn = 0;
@@ -149,13 +157,20 @@ Result run_rep(const std::vector<core::Batch>& stream, const std::string& policy
 
   // Ingest with shipping interleaved: one drain-to-idle + poll per batch.
   std::uint64_t lag_sum = 0;
+  Clock::duration ship_time{};
+  Clock::duration poll_time{};
   const auto t0 = Clock::now();
   for (const core::Batch& batch : stream) {
-    if (!leader->apply(batch, &error) || !shipper.drain(&error) ||
-        !follower->poll(&error)) {
+    const bool applied = leader->apply(batch, &error);
+    const auto t_applied = Clock::now();
+    const bool shipped = applied && shipper.drain(&error);
+    const auto t_shipped = Clock::now();
+    if (!shipped || !follower->poll(&error)) {
       std::fprintf(stderr, "replicated ingest failed: %s\n", error.c_str());
       std::exit(1);
     }
+    ship_time += t_shipped - t_applied;
+    poll_time += Clock::now() - t_shipped;
     const std::uint64_t lag = leader->lsn() - follower->applied_lsn();
     lag_sum += lag;
     if (lag > r.max_lag_ops) r.max_lag_ops = lag;
@@ -163,6 +178,12 @@ Result run_rep(const std::vector<core::Batch>& stream, const std::string& policy
   r.ingest_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.ingest_ops_per_sec = r.ingest_s > 0 ? static_cast<double>(r.ops) / r.ingest_s : 0;
   r.mean_lag_ops = static_cast<double>(lag_sum) / static_cast<double>(stream.size());
+  const auto per_batch_us = [&](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count() /
+           static_cast<double>(stream.size());
+  };
+  r.ship_us_per_batch = per_batch_us(ship_time);
+  r.poll_us_per_batch = per_batch_us(poll_time);
   r.wal_bytes = leader->wal_bytes_appended();
 
   // The leader dies mid-service: no close(), no seal. Its directory is the
@@ -231,6 +252,8 @@ Result run_cell(const std::vector<core::Batch>& stream, const std::string& polic
       best.ingest_s = r.ingest_s;
     }
     if (r.catchup_s < best.catchup_s) best.catchup_s = r.catchup_s;
+    best.ship_us_per_batch = std::min(best.ship_us_per_batch, r.ship_us_per_batch);
+    best.poll_us_per_batch = std::min(best.poll_us_per_batch, r.poll_us_per_batch);
     if (r.failover_rto_s < best.failover_rto_s) best.failover_rto_s = r.failover_rto_s;
   }
   return best;
@@ -246,7 +269,8 @@ bool validate(const std::vector<Result>& results) {
                     r.ingest_ops_per_sec > 0 && r.wal_bytes > 0 &&
                     r.shipped_bytes >= r.wal_bytes && r.shipments > 0 &&
                     r.applied_ops == r.ops && r.promoted_lsn == r.ops &&
-                    r.mean_lag_ops >= 0 && r.catchup_s >= 0 && r.failover_rto_s > 0;
+                    r.mean_lag_ops >= 0 && r.catchup_s >= 0 && r.failover_rto_s > 0 &&
+                    r.ship_us_per_batch > 0 && r.poll_us_per_batch > 0;
     if (!ok) {
       std::fprintf(stderr, "validate: malformed row for policy=%s\n",
                    r.policy.c_str());
@@ -286,6 +310,7 @@ bool write_json(const std::string& path, const std::vector<Result>& results, Nod
                  "\"wal_bytes\": %llu, \"shipped_bytes\": %llu, "
                  "\"shipments\": %llu, \"applied_ops\": %llu, "
                  "\"mean_lag_ops\": %.4f, \"max_lag_ops\": %llu, "
+                 "\"ship_us_per_batch\": %.3f, \"poll_us_per_batch\": %.3f, "
                  "\"catchup_s\": %.6f, \"failover_rto_s\": %.6f, "
                  "\"promoted_lsn\": %llu}%s\n",
                  r.policy.c_str(), r.n, static_cast<unsigned long long>(r.ops),
@@ -294,7 +319,8 @@ bool write_json(const std::string& path, const std::vector<Result>& results, Nod
                  static_cast<unsigned long long>(r.shipped_bytes),
                  static_cast<unsigned long long>(r.shipments),
                  static_cast<unsigned long long>(r.applied_ops), r.mean_lag_ops,
-                 static_cast<unsigned long long>(r.max_lag_ops), r.catchup_s,
+                 static_cast<unsigned long long>(r.max_lag_ops), r.ship_us_per_batch,
+                 r.poll_us_per_batch, r.catchup_s,
                  r.failover_rto_s, static_cast<unsigned long long>(r.promoted_lsn),
                  i + 1 < results.size() ? "," : "");
   }
@@ -362,14 +388,14 @@ int main(int argc, char** argv) {
     const Result r = run_cell(stream, policy, n, seed, reps, dir, want);
     results.push_back(r);
     std::printf("policy=%-10s ingest=%8.0f ops/s  wal=%-9llu shipped=%-9llu "
-                "(%llu shipments)  lag mean=%.1f max=%-5llu catchup=%.6fs "
-                "rto=%.6fs\n",
+                "(%llu shipments)  lag mean=%.1f max=%-5llu ship=%.1fus/batch "
+                "poll=%.1fus/batch catchup=%.6fs rto=%.6fs\n",
                 r.policy.c_str(), r.ingest_ops_per_sec,
                 static_cast<unsigned long long>(r.wal_bytes),
                 static_cast<unsigned long long>(r.shipped_bytes),
                 static_cast<unsigned long long>(r.shipments), r.mean_lag_ops,
-                static_cast<unsigned long long>(r.max_lag_ops), r.catchup_s,
-                r.failover_rto_s);
+                static_cast<unsigned long long>(r.max_lag_ops), r.ship_us_per_batch,
+                r.poll_us_per_batch, r.catchup_s, r.failover_rto_s);
     std::fflush(stdout);
   }
   if (validate_flag && !validate(results)) return 1;

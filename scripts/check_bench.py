@@ -102,7 +102,13 @@ Tolerances (CI's contract — change them here, not in the workflow):
   aborts if they drift between reps), so they must be bit-identical across
   candidate runs and get DETERMINISTIC_TOLERANCE against the reference.
   ingest_ops_per_sec (max fold) and failover_rto_s / catchup_s (min fold)
-  are wall clock: THROUGHPUT_TOLERANCE band. One intrinsic check needs no
+  are wall clock: THROUGHPUT_TOLERANCE band. ship_us_per_batch and
+  poll_us_per_batch (the per-batch cost of LogShipper::drain and
+  FollowerService::poll) name the two non-engine replication stages and
+  are gated like snapshot's verify_s: min fold, THROUGHPUT_TOLERANCE band
+  plus a 1 us absolute grace, only where the reference has the column;
+  --self-test also injects a poll-only regression and requires the gate to
+  catch it. One intrinsic check needs no
   reference: the synchronous policies (everyop, everybatch) must report
   zero lag — the durable-cursor contract, not a tuning outcome. A cell
   that exists has already survived the bench's own failover differential
@@ -155,6 +161,13 @@ BORROW_SPEEDUP_FLOOR = 10.0
 # negligible at the n=1e6 acceptance point.
 V3_WARM_NOISE_BAR = 0.10
 V3_WARM_ABS_SLACK_S = 1e-4
+# bench_replication's per-batch stage columns (microseconds). The interval
+# policy's drains are mostly idle and cost well under 1 us, so the band
+# gets a 1 us absolute grace, as the borrow-open band gets 100 us.
+REPLICATION_STAGE_FIELDS = ("ship_us_per_batch", "poll_us_per_batch")
+STAGE_GRACE_US = 1.0
+# --self-test injects a 2x regression into this one column alone per kind.
+SINGLE_STAGE_INJECTIONS = {"snapshot": "verify_s", "replication": "poll_us_per_batch"}
 
 
 def close(candidate, reference, tolerance, absolute=1e-3):
@@ -238,6 +251,9 @@ def merge_best(candidates):
                             f"FAIL: {field} differs between candidate runs at "
                             f"policy={row['policy']} — nondeterministic "
                             f"shipping pipeline")
+                for field in REPLICATION_STAGE_FIELDS:
+                    if field in row and field in cell:
+                        cell[field] = min(cell[field], row[field])
                 if row["ingest_ops_per_sec"] > cell["ingest_ops_per_sec"]:
                     cell["ingest_ops_per_sec"] = row["ingest_ops_per_sec"]
                     cell["ingest_s"] = row["ingest_s"]
@@ -586,6 +602,16 @@ def check_replication(candidate, reference, tolerance, deterministic_only):
                     f"policy={row['policy']}: {field} {got} vs reference {want} — "
                     f"deterministic quantity moved (> {DETERMINISTIC_TOLERANCE:.0%})")
         if not deterministic_only:
+            # The stage columns: wall clock per batch, gated only where the
+            # reference has them (baselines older than the columns skip).
+            for field in REPLICATION_STAGE_FIELDS:
+                if field not in row or field not in base:
+                    continue
+                got, want = row[field], base[field]
+                if got > want * (1.0 + tolerance) + STAGE_GRACE_US:
+                    cell_failures.append(
+                        f"policy={row['policy']}: {field} regression {got:.2f}us "
+                        f"vs reference {want:.2f}us (> {tolerance:.0%} slower)")
             got, want = row["failover_rto_s"], base["failover_rto_s"]
             if got > want * (1.0 + tolerance) + 1e-3:
                 cell_failures.append(
@@ -736,6 +762,9 @@ def inject_regression(candidate, deterministic_only):
             row["shipped_bytes"] *= 2
         elif kind == "replication":
             row["failover_rto_s"] *= 2.0
+            for field in REPLICATION_STAGE_FIELDS:
+                if field in row:
+                    row[field] *= 2.0
     return regressed
 
 
@@ -793,20 +822,21 @@ def main():
             print("FAIL: gate did not catch the injected 2x regression")
             return 1
         print("self-test OK: injected regression was caught")
-        # The verify_s band must hold on its own: a 2x verify_s with every
-        # other column untouched still fails the gate.
-        if (candidate.get("bench") == "snapshot" and not args.deterministic_only
-                and any("verify_s" in r for r in candidate["results"])):
-            print("--- self-test: injecting a 2x verify_s regression alone ---")
+        # Each stage column's band must hold on its own: a 2x regression in
+        # that one column, every other column untouched, still fails.
+        field = SINGLE_STAGE_INJECTIONS.get(candidate.get("bench"))
+        if (field is not None and not args.deterministic_only
+                and any(field in r for r in candidate["results"])):
+            print(f"--- self-test: injecting a 2x {field} regression alone ---")
             regressed = copy.deepcopy(candidate)
             for row in regressed["results"]:
-                if "verify_s" in row:
-                    row["verify_s"] *= 2.0
+                if field in row:
+                    row[field] *= 2.0
             if run_gate(regressed, candidate, args.tolerance,
                         args.deterministic_only) == 0:
-                print("FAIL: gate did not catch the injected verify_s regression")
+                print(f"FAIL: gate did not catch the injected {field} regression")
                 return 1
-            print("self-test OK: injected verify_s regression was caught")
+            print(f"self-test OK: injected {field} regression was caught")
     return 0
 
 

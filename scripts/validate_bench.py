@@ -205,6 +205,9 @@ def validate_replication(data):
                     f"synchronous policy reports nonzero lag in {row}")
         for key in ("catchup_s", "failover_rto_s"):
             require_metric(row, key)
+        for key in ("ship_us_per_batch", "poll_us_per_batch"):
+            require(key in row and row[key] > 0 and finite(row[key]),
+                    f"bad '{key}' in {row}")
 
 
 def validate_oom(data):

@@ -372,15 +372,14 @@ void layout_snapshot(const DynamicGraph& g, const util::FlatSet& edges,
 }
 
 /// Stream the checksummed payload (everything after SnapshotHeader) through
-/// `w` — any sink with PayloadWriter's write/align8/position interface:
-/// the stdio writer, the pre-pass hasher, or an append-only WritableFile.
-/// One template so the byte stream cannot drift between the paths.
-template <class Sink>
+/// `w` and flush it. Every sink — the stdio writer, the hash-only pre-pass,
+/// an append-only WritableFile — runs this one function, so the byte stream
+/// cannot drift between the paths.
 bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
                              const SnapshotHeader& header,
                              const SnapshotEngineExt* ext,
                              const SnapshotShardExt* shard,
-                             const EngineStateView* state, Sink& w) {
+                             const EngineStateView* state, util::PayloadWriter& w) {
   bool ok = true;
   // The extension headers are part of the checksummed payload, so they
   // stream through the writer like any section (never patched afterwards).
@@ -419,57 +418,72 @@ bool stream_snapshot_payload(const DynamicGraph& g, const util::FlatSet& edges,
       ok = w.write(&zero_member, 1);
     ok = ok && w.align8();
   }
+  ok = ok && w.finish();
   DMIS_ASSERT(!ok || w.position() == header.file_size);
   return ok;
 }
 
-/// Payload sink over an append-only util::WritableFile (write failures are
-/// remembered; the caller reads the final verdict from ok()).
-class WritableFileSink {
- public:
-  WritableFileSink(util::WritableFile* file, std::uint64_t header_bytes,
-                   std::string* error)
-      : file_(file), header_bytes_(header_bytes), error_(error) {}
-
-  bool write(const void* data, std::size_t bytes) {
-    if (bytes == 0) return true;
-    if (!file_->write(data, bytes, error_)) return false;
-    written_ += bytes;
-    return true;
+/// The one-pass stdio writer: header placeholder, payload, then the header
+/// again with the checksum patched in.
+bool write_via_stdio(const DynamicGraph& g, const util::FlatSet& edges,
+                     SnapshotHeader header, const SnapshotEngineExt* ext,
+                     const SnapshotShardExt* shard, const EngineStateView* state,
+                     const std::string& tmp, std::string* error) {
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    set_error(error, util::errno_context(tmp, "fopen", errno));
+    return false;
   }
+  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
+  util::PayloadWriter w(f, sizeof(SnapshotHeader));
+  ok = ok && stream_snapshot_payload(g, edges, header, ext, shard, state, w);
+  header.payload_checksum = w.checksum();
+  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&
+       std::fwrite(&header, sizeof(header), 1, f) == 1;
+  if (!ok) set_error(error, util::errno_context(tmp, "fwrite", errno));
+  // Durability before visibility: the temp file's bytes must be on disk
+  // before the rename makes them the published snapshot.
+  ok = ok && util::fsync_stream(f, tmp, error);
+  return (std::fclose(f) == 0) && ok;
+}
 
-  bool align8() {
-    static constexpr std::uint8_t zeros[8] = {};
-    const std::uint64_t target = pad8(position());
-    return write(zeros, static_cast<std::size_t>(target - position()));
-  }
+/// The factory-backed writer: same bytes, but every file operation goes
+/// through an injectable WritableFile so tests can fail the temp write or
+/// the pre-publish fsync at an exact byte (util/fault_file.hpp).
+/// WritableFile is append-only — no seeking back to patch the header — so
+/// this runs two passes: hash the payload first, then write the finished
+/// header followed by the payload. The extra pass costs one walk over
+/// in-memory state and buys the property the Checkpointer tests pin: a
+/// save that dies at ANY point leaves the previously published snapshot
+/// untouched.
+bool write_via_factory(const DynamicGraph& g, const util::FlatSet& edges,
+                       SnapshotHeader header, const SnapshotEngineExt* ext,
+                       const SnapshotShardExt* shard, const EngineStateView* state,
+                       const std::string& tmp, const util::FileFactory& factory,
+                       std::string* error) {
+  util::PayloadWriter hasher(sizeof(SnapshotHeader));
+  stream_snapshot_payload(g, edges, header, ext, shard, state, hasher);
+  header.payload_checksum = hasher.checksum();
 
-  [[nodiscard]] std::uint64_t position() const noexcept {
-    return header_bytes_ + written_;
-  }
+  auto file = factory(tmp, error);
+  if (file == nullptr) return false;
+  util::PayloadWriter w(file.get(), sizeof(SnapshotHeader), error);
+  bool ok = file->write(&header, sizeof(header), error) &&
+            stream_snapshot_payload(g, edges, header, ext, shard, state, w);
+  DMIS_ASSERT(!ok || w.checksum() == header.payload_checksum);
+  ok = ok && file->sync(error);
+  return file->close(ok ? error : nullptr) && ok;
+}
 
- private:
-  util::WritableFile* file_;
-  std::uint64_t header_bytes_;
-  std::uint64_t written_ = 0;
-  std::string* error_;
-};
-
-/// Shared writer body: version 1 when `state` is null, version 2 otherwise.
+/// Shared writer body: version 1 when `state` is null, version 2 otherwise,
+/// version 3 with a shard_count. An empty `factory` takes the stdio path.
 /// Crash-safe publish: the bytes stream into `path.tmp`, which is fsynced
 /// and then renamed over `path`, so an interrupted save can never leave a
 /// torn file at the published path — a reader sees the old snapshot or the
 /// new one, never a mixture (util/fs.hpp documents the protocol).
 bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
                         const std::string& path, std::string* error,
-                        std::uint32_t shard_count = 0) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    set_error(error, util::errno_context(tmp, "fopen", errno));
-    return false;
-  }
-
+                        std::uint32_t shard_count, const util::FileFactory& factory) {
   SnapshotHeader header{};
   SnapshotEngineExt ext{};
   SnapshotShardExt shard{};
@@ -481,93 +495,53 @@ bool save_snapshot_impl(const DynamicGraph& g, const EngineStateView* state,
   const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
   layout_snapshot(g, edges, state, &header, &ext, shard_p);
 
-  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  util::PayloadWriter w(f, sizeof(SnapshotHeader));
-  ok = ok && stream_snapshot_payload(g, edges, header, &ext, shard_p, state, w);
-
-  // Patch the checksum now that the payload has streamed through the hash.
-  header.payload_checksum = w.checksum();
-  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&
-       std::fwrite(&header, sizeof(header), 1, f) == 1;
-  if (!ok) set_error(error, util::errno_context(tmp, "fwrite", errno));
-  // Durability before visibility: the temp file's bytes must be on disk
-  // before the rename makes them the published snapshot.
-  ok = ok && util::fsync_stream(f, tmp, error);
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (!util::atomic_publish(tmp, path, error)) {
+  const std::string tmp = path + ".tmp";
+  const bool ok =
+      factory ? write_via_factory(g, edges, header, &ext, shard_p, state, tmp, factory, error)
+              : write_via_stdio(g, edges, header, &ext, shard_p, state, tmp, error);
+  if (!ok || !util::atomic_publish(tmp, path, error)) {
     std::remove(tmp.c_str());
     return false;
   }
   return true;
 }
 
-/// The factory-backed save: same bytes, same publish protocol, but every
-/// file operation goes through an injectable WritableFile so tests can
-/// fail the temp write or the pre-publish fsync at an exact byte
-/// (util/fault_file.hpp). WritableFile is append-only — no seeking back to
-/// patch the header — so this runs two passes: hash the payload first,
-/// then write the finished header followed by the payload. The extra pass
-/// costs one walk over in-memory state and buys the property the
-/// Checkpointer tests pin: a save that dies at ANY point leaves the
-/// previously published snapshot untouched.
-bool save_snapshot_via_factory(const DynamicGraph& g, const EngineStateView* state,
-                               const std::string& path,
-                               const util::FileFactory& factory,
-                               std::string* error) {
-  SnapshotHeader header{};
-  SnapshotEngineExt ext{};
-  util::FlatSet merged_scratch;
-  const util::FlatSet& edges = g.merged_edge_set(merged_scratch);
-  layout_snapshot(g, edges, state, &header, &ext);
-
-  util::PayloadHasher hasher(sizeof(SnapshotHeader));
-  stream_snapshot_payload(g, edges, header, &ext, nullptr, state, hasher);
-  header.payload_checksum = hasher.checksum();
-
-  const std::string tmp = path + ".tmp";
-  auto file = factory(tmp, error);
-  if (file == nullptr) return false;
-  WritableFileSink sink(file.get(), sizeof(SnapshotHeader), error);
-  bool ok = file->write(&header, sizeof(header), error) &&
-            stream_snapshot_payload(g, edges, header, &ext, nullptr, state, sink) &&
-            file->sync(error);
-  ok = file->close(ok ? error : nullptr) && ok;
-  if (ok && !util::atomic_publish(tmp, path, error)) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+std::uint32_t clamp_shards(std::uint32_t shard_count) {
+  return std::clamp<std::uint32_t>(shard_count, 1, kSnapshotMaxShards);
 }
 
 }  // namespace
 
 bool save_snapshot(const DynamicGraph& g, const std::string& path, std::string* error) {
-  return save_snapshot_impl(g, nullptr, path, error);
+  return save_snapshot_impl(g, nullptr, path, error, 0, {});
+}
+
+bool save_snapshot(const DynamicGraph& g, const std::string& path,
+                   const util::FileFactory& factory, std::string* error) {
+  return save_snapshot_impl(g, nullptr, path, error, 0, factory);
 }
 
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, std::string* error) {
-  return save_snapshot_impl(g, &state, path, error);
+  return save_snapshot_impl(g, &state, path, error, 0, {});
 }
 
 bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
                    const std::string& path, const util::FileFactory& factory,
                    std::string* error) {
-  if (!factory) return save_snapshot_impl(g, &state, path, error);
-  return save_snapshot_via_factory(g, &state, path, factory, error);
+  return save_snapshot_impl(g, &state, path, error, 0, factory);
 }
 
 bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
                            const std::string& path, std::uint32_t shard_count,
                            std::string* error) {
-  if (shard_count < 1) shard_count = 1;
-  if (shard_count > kSnapshotMaxShards) shard_count = kSnapshotMaxShards;
-  return save_snapshot_impl(g, &state, path, error, shard_count);
+  return save_snapshot_impl(g, &state, path, error, clamp_shards(shard_count), {});
+}
+
+bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
+                           const std::string& path, std::uint32_t shard_count,
+                           const util::FileFactory& factory, std::string* error) {
+  return save_snapshot_impl(g, &state, path, error, clamp_shards(shard_count), factory);
 }
 
 DynamicGraph DynamicGraph::load(const Snapshot& snapshot) {

@@ -295,6 +295,10 @@ class Snapshot {
 /// *error) on I/O failure.
 bool save_snapshot(const DynamicGraph& g, const std::string& path,
                    std::string* error = nullptr);
+/// As above, with every file operation routed through `factory` (empty
+/// falls back to the stdio path); see the version-2 overload below.
+bool save_snapshot(const DynamicGraph& g, const std::string& path,
+                   const util::FileFactory& factory, std::string* error = nullptr);
 
 /// Write `g` plus engine state as a version-2 snapshot. Engines call this
 /// through the core::save_snapshot overloads (core/engine_snapshot.hpp),
@@ -320,5 +324,8 @@ bool save_snapshot(const DynamicGraph& g, const EngineStateView& state,
 bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
                            const std::string& path, std::uint32_t shard_count,
                            std::string* error = nullptr);
+bool save_snapshot_sharded(const DynamicGraph& g, const EngineStateView& state,
+                           const std::string& path, std::uint32_t shard_count,
+                           const util::FileFactory& factory, std::string* error = nullptr);
 
 }  // namespace dmis::graph

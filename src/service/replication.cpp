@@ -31,22 +31,6 @@ std::uint64_t local_file_size(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-bool file_exists(const std::string& path) {
-  std::error_code ec;
-  return std::filesystem::exists(path, ec) && !ec;
-}
-
-bool read_chunk(const std::string& path, std::uint64_t offset, std::uint64_t len,
-                std::vector<std::uint8_t>& buf) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  buf.resize(static_cast<std::size_t>(len));
-  const bool ok = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
-                  std::fread(buf.data(), 1, buf.size(), f) == buf.size();
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace
 
 // --- DirectTransport -------------------------------------------------------
@@ -130,26 +114,28 @@ void FollowerService::drop_sink() {
   sink_have_ = 0;
 }
 
-bool FollowerService::ensure_sink(const std::string& path, std::uint64_t* have) {
-  if (sink_ != nullptr && sink_path_ == path) {
+bool FollowerService::ensure_sink(const Shipment& shipment, std::uint64_t* have) {
+  if (sink_ != nullptr && sink_kind_ == shipment.kind && sink_id_ == shipment.id) {
     *have = sink_have_;
     return true;
   }
   drop_sink();
+  std::string path = target_path(shipment);
   auto file = options_.file_factory ? options_.file_factory(path, nullptr)
                                     : util::open_appendable(path, nullptr);
   if (file == nullptr) return false;
   sink_ = std::move(file);
-  sink_path_ = path;
+  sink_kind_ = shipment.kind;
+  sink_id_ = shipment.id;
   sink_have_ = local_file_size(path);  // append mode: existing bytes survive
+  sink_path_ = std::move(path);
   *have = sink_have_;
   return true;
 }
 
 ShipAck FollowerService::receive(const Shipment& shipment) {
-  const std::string path = target_path(shipment);
-
-  if (shipment.kind == Shipment::Kind::kCheckpoint) {
+  const bool is_checkpoint = shipment.kind == Shipment::Kind::kCheckpoint;
+  if (is_checkpoint) {
     // Already published (a duplicate arriving after completion): the
     // authoritative byte count is the final file's.
     const std::string final_path = checkpoint_path(dir_, shipment.id);
@@ -158,9 +144,9 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   }
 
   std::uint64_t have = 0;
-  if (!ensure_sink(path, &have)) {
+  if (!ensure_sink(shipment, &have)) {
     ++stats_.receive_errors;
-    return {local_file_size(path)};
+    return {local_file_size(target_path(shipment))};
   }
 
   const std::uint64_t offset = shipment.offset;
@@ -175,12 +161,17 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   const std::uint64_t skip = have - offset;  // duplicate/overlap prefix
   if (len > skip) {
     const std::uint64_t fresh = len - skip;
+    // Bytes for a segment the reader is not on: the leader rotated (or a
+    // header is still arriving), so the next lookup re-lists the directory.
+    if (!is_checkpoint && !(reader_open_ && shipment.id == reader_seq_))
+      segments_stale_ = true;
     if (!sink_->write(shipment.bytes.data() + skip,
                       static_cast<std::size_t>(fresh), nullptr)) {
       // Local write failure (fault seam): drop the poisoned sink and
       // re-stat — a short write may have landed a prefix, which is still
       // a valid prefix of the stream.
       ++stats_.receive_errors;
+      const std::string path = sink_path_;
       drop_sink();
       return {local_file_size(path)};
     }
@@ -189,9 +180,9 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   }
   ++stats_.chunks_accepted;
 
-  if (shipment.kind == Shipment::Kind::kCheckpoint && shipment.file_size > 0 &&
-      sink_have_ >= shipment.file_size) {
+  if (is_checkpoint && shipment.file_size > 0 && sink_have_ >= shipment.file_size) {
     // Complete: durability before visibility, then the atomic rename.
+    const std::string path = sink_path_;
     const std::string final_path = checkpoint_path(dir_, shipment.id);
     std::string publish_error;
     bool ok = sink_->sync(&publish_error);
@@ -213,8 +204,20 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   return {sink_have_};
 }
 
+const std::vector<SegmentInfo>& FollowerService::local_segments() {
+  if (segments_stale_) {
+    segments_ = list_segments(dir_);
+    segments_stale_ = false;
+    ++stats_.dir_scans;
+  }
+  return segments_;
+}
+
 bool FollowerService::try_rewarm(std::string* error) {
   (void)error;
+  if (rewarm_checked_at_ == stats_.checkpoints_published) return false;
+  rewarm_checked_at_ = stats_.checkpoints_published;
+  ++stats_.dir_scans;
   const std::vector<CheckpointInfo> checkpoints = list_checkpoints(dir_);
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
     if (engine_.has_value() && it->lsn <= applied_lsn_) break;
@@ -238,9 +241,8 @@ bool FollowerService::try_rewarm(std::string* error) {
 
 bool FollowerService::open_reader_at_applied(std::string* error) {
   (void)error;
-  const std::vector<SegmentInfo> segments = list_segments(dir_);
   const SegmentInfo* best = nullptr;
-  for (const SegmentInfo& seg : segments) {
+  for (const SegmentInfo& seg : local_segments()) {
     if (seg.base_lsn > applied_lsn_) continue;
     if (best == nullptr || seg.base_lsn > best->base_lsn ||
         (seg.base_lsn == best->base_lsn && seg.seq > best->seq))
@@ -259,17 +261,15 @@ bool FollowerService::open_reader_at_applied(std::string* error) {
 
 bool FollowerService::poll(std::string* error) {
   for (;;) {
-    if (!engine_.has_value()) {
-      if (!try_rewarm(error)) {
-        // No checkpoint yet: a cold start is only sound if the log reaches
-        // back to lsn 0.
-        bool has_base0 = false;
-        for (const SegmentInfo& seg : list_segments(dir_))
-          if (seg.base_lsn == 0) has_base0 = true;
-        if (!has_base0) return true;  // wait for more shipments
-        engine_.emplace(options_.priority_seed);
-        applied_lsn_ = 0;
-      }
+    if (!engine_.has_value() && !try_rewarm(error)) {
+      // No checkpoint yet: a cold start is only sound if the log reaches
+      // back to lsn 0.
+      bool has_base0 = false;
+      for (const SegmentInfo& seg : local_segments())
+        if (seg.base_lsn == 0) has_base0 = true;
+      if (!has_base0) return true;  // wait for more shipments
+      engine_.emplace(options_.priority_seed);
+      applied_lsn_ = 0;
     }
     if (!reader_open_ && !open_reader_at_applied(error)) {
       // No local segment covers applied_lsn_. Either the chain has not
@@ -293,26 +293,27 @@ bool FollowerService::poll(std::string* error) {
       }
       if (state != WalSegmentReader::Next::kSealed) {
         // kEnd / kTorn: the segment may simply not have shipped further
-        // yet. refresh() re-maps on growth and rescans prefix-safely.
+        // yet. refresh() extends the view on growth and rescans
+        // prefix-safely.
         if (reader_.refresh(nullptr)) continue;
       }
       // No growth (or a seal). Advance iff a later local segment chains at
       // exactly the reader's lsn — the leader rotated (or re-based at
       // failover) and the rest of this segment, if any, is a dead tail.
+      // The listing is sorted by seq; only entries past the reader's count.
       const std::uint64_t chain_lsn = reader_.next_lsn();
-      const std::vector<SegmentInfo> segments = list_segments(dir_);
-      const SegmentInfo* successor = nullptr;
-      for (const SegmentInfo& seg : segments) {
-        if (seg.seq <= reader_seq_ || seg.base_lsn != chain_lsn) continue;
-        if (successor == nullptr || seg.seq < successor->seq) successor = &seg;
-      }
-      if (successor != nullptr) {
+      const std::vector<SegmentInfo>& segments = local_segments();
+      auto it = std::upper_bound(
+          segments.begin(), segments.end(), reader_seq_,
+          [](std::uint64_t seq, const SegmentInfo& seg) { return seq < seg.seq; });
+      while (it != segments.end() && it->base_lsn != chain_lsn) ++it;
+      if (it != segments.end()) {
         WalSegmentReader next_reader;
         std::string open_error;
-        if (!next_reader.open(successor->path, &open_error, options_.force_read))
+        if (!next_reader.open(it->path, &open_error, options_.force_read))
           return true;  // header not fully shipped yet — wait
+        reader_seq_ = it->seq;
         reader_ = std::move(next_reader);
-        reader_seq_ = successor->seq;
         break;  // scan the successor
       }
       // Stuck at this lsn. If a newer checkpoint landed (the leader
@@ -358,21 +359,36 @@ void LogShipper::lose() {
   next_backoff_ = std::min(next_backoff_ * 2, options_.backoff_cap);
 }
 
-LogShipper::Pump LogShipper::ship(const Shipment& shipment, std::uint64_t* cursor) {
+LogShipper::Pump LogShipper::ship(std::uint64_t* cursor) {
   ++stats_.shipments;
-  const std::optional<ShipAck> ack = transport_->deliver(shipment);
+  const std::optional<ShipAck> ack = transport_->deliver(shipment_);
   if (!ack.has_value()) {
     lose();
     return Pump::kShipped;
   }
   ++stats_.delivered;
-  stats_.bytes_shipped += shipment.bytes.size();
+  stats_.bytes_shipped += shipment_.bytes.size();
   next_backoff_ = options_.backoff_start;
-  if (ack->have < shipment.offset) ++stats_.rewinds;
+  if (ack->have < shipment_.offset) ++stats_.rewinds;
   // The ack is the resume protocol: rewind or fast-forward to exactly what
   // the follower holds.
   *cursor = ack->have;
   return Pump::kShipped;
+}
+
+LogShipper::Pump LogShipper::replan(bool reship_checkpoint) {
+  source_.close();
+  cp_active_ = false;
+  seg_seq_ = 0;
+  if (reship_checkpoint) cp_shipped_lsn_.reset();
+  ++stats_.replans;
+  return Pump::kShipped;
+}
+
+bool LogShipper::read_chunk(std::uint64_t offset, std::uint64_t len) {
+  shipment_.bytes.resize(static_cast<std::size_t>(len));
+  return source_.read_at(offset, shipment_.bytes.data(), shipment_.bytes.size(),
+                         nullptr);
 }
 
 LogShipper::Pump LogShipper::pump(std::string* error) {
@@ -389,6 +405,7 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
   if (!cp_active_ && seg_seq_ == 0) {
     const std::vector<CheckpointInfo> checkpoints = list_checkpoints(leader_dir_);
     const std::vector<SegmentInfo> segments = list_segments(leader_dir_);
+    stats_.dir_scans += 2;
     std::uint64_t anchor = 0;
     if (!checkpoints.empty() &&
         (!cp_shipped_lsn_.has_value() || checkpoints.back().lsn > *cp_shipped_lsn_)) {
@@ -417,76 +434,71 @@ LogShipper::Pump LogShipper::pump(std::string* error) {
   }
 
   if (cp_active_) {
-    const std::string path = checkpoint_path(leader_dir_, cp_lsn_);
     if (cp_offset_ >= cp_size_) {
+      source_.close();
       cp_active_ = false;
       cp_shipped_lsn_ = cp_lsn_;
       return Pump::kShipped;
     }
+    // Checkpoint vanished (truncated behind an even newer one): re-plan.
+    std::uint64_t size = 0;
+    bool unlinked = false;
+    if (!source_.is_open() && !source_.open(checkpoint_path(leader_dir_, cp_lsn_), nullptr))
+      return replan(false);
+    if (!source_.stat(&size, &unlinked, nullptr) || unlinked) return replan(false);
     const std::uint64_t len =
         std::min<std::uint64_t>(options_.chunk_bytes, cp_size_ - cp_offset_);
-    if (!read_chunk(path, cp_offset_, len, buf_)) {
-      // Checkpoint vanished (truncated behind an even newer one): re-plan.
-      cp_active_ = false;
-      seg_seq_ = 0;
-      ++stats_.replans;
-      return Pump::kShipped;
-    }
-    Shipment shipment;
-    shipment.kind = Shipment::Kind::kCheckpoint;
-    shipment.id = cp_lsn_;
-    shipment.offset = cp_offset_;
-    shipment.file_size = cp_size_;
-    shipment.bytes = buf_;
-    return ship(shipment, &cp_offset_);
+    if (!read_chunk(cp_offset_, len)) return replan(false);
+    shipment_.kind = Shipment::Kind::kCheckpoint;
+    shipment_.id = cp_lsn_;
+    shipment_.offset = cp_offset_;
+    shipment_.file_size = cp_size_;
+    return ship(&cp_offset_);
   }
 
   DMIS_ASSERT(seg_seq_ != 0);
-  const std::string path = segment_path(leader_dir_, seg_seq_);
-  if (!file_exists(path)) {
-    // The segment was truncated away before we shipped it — a newer
-    // checkpoint must exist; restart planning from it.
-    seg_seq_ = 0;
-    cp_shipped_lsn_.reset();
-    ++stats_.replans;
-    return Pump::kShipped;
+  // A segment truncated away before we opened or finished it means a newer
+  // checkpoint exists: restart planning from it.
+  if (!source_.is_open() && !source_.open(segment_path(leader_dir_, seg_seq_), nullptr))
+    return replan(true);
+  const bool leader_active = leader_ != nullptr && seg_seq_ == leader_->wal_segment_seq();
+  std::uint64_t size = 0;
+  if (leader_active) {
+    // The leader's active segment is never truncated (the Checkpointer
+    // keeps the last segment), and its fsync watermark is the cap and a
+    // lower bound of its size: no syscall needed to size it.
+    size = leader_->wal_durable_segment_bytes();
+  } else {
+    bool unlinked = false;
+    if (!source_.stat(&size, &unlinked, nullptr) || unlinked) return replan(true);
   }
-  const std::uint64_t size = local_file_size(path);
-  std::uint64_t cap = size;
-  if (leader_ != nullptr && seg_seq_ == leader_->wal_segment_seq())
-    cap = std::min(cap, leader_->wal_durable_segment_bytes());
-  if (seg_offset_ < cap) {
+  if (seg_offset_ < size) {
     const std::uint64_t len =
-        std::min<std::uint64_t>(options_.chunk_bytes, cap - seg_offset_);
-    if (!read_chunk(path, seg_offset_, len, buf_)) {
-      seg_seq_ = 0;
-      cp_shipped_lsn_.reset();
-      ++stats_.replans;
-      return Pump::kShipped;
-    }
-    Shipment shipment;
-    shipment.kind = Shipment::Kind::kSegment;
-    shipment.id = seg_seq_;
-    shipment.offset = seg_offset_;
-    shipment.file_size = size;
-    shipment.bytes = buf_;
-    return ship(shipment, &seg_offset_);
+        std::min<std::uint64_t>(options_.chunk_bytes, size - seg_offset_);
+    if (!read_chunk(seg_offset_, len)) return replan(true);
+    shipment_.kind = Shipment::Kind::kSegment;
+    shipment_.id = seg_seq_;
+    shipment_.offset = seg_offset_;
+    shipment_.file_size = size;
+    return ship(&seg_offset_);
   }
 
-  // Shipped everything visible in this segment. Advance once the *whole*
-  // file is shipped and a successor exists (rotation sealed this one).
-  if (seg_offset_ >= size) {
-    const std::vector<SegmentInfo> segments = list_segments(leader_dir_);
-    const SegmentInfo* successor = nullptr;
-    for (const SegmentInfo& seg : segments) {
-      if (seg.seq <= seg_seq_) continue;
-      if (successor == nullptr || seg.seq < successor->seq) successor = &seg;
-    }
-    if (successor != nullptr) {
-      seg_seq_ = successor->seq;
-      seg_offset_ = 0;
-      return Pump::kShipped;
-    }
+  // Shipped everything visible in this segment. Advance once a successor
+  // exists (rotation sealed this one). An attached leader names its active
+  // segment, so until that is past ours there is nothing to look for.
+  if (leader_ != nullptr && leader_->wal_segment_seq() <= seg_seq_) return Pump::kIdle;
+  const std::vector<SegmentInfo> segments = list_segments(leader_dir_);
+  ++stats_.dir_scans;
+  const SegmentInfo* successor = nullptr;
+  for (const SegmentInfo& seg : segments) {
+    if (seg.seq <= seg_seq_) continue;
+    if (successor == nullptr || seg.seq < successor->seq) successor = &seg;
+  }
+  if (successor != nullptr) {
+    source_.close();
+    seg_seq_ = successor->seq;
+    seg_offset_ = 0;
+    return Pump::kShipped;
   }
   return Pump::kIdle;
 }

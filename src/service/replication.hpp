@@ -36,6 +36,18 @@
 // lost shipment costs the shipper a capped exponential backoff in pump
 // ticks before retrying, so a flaky link degrades throughput, not
 // correctness.
+//
+// Steady-state cost is O(new bytes): once both ends are caught up, a
+// drain + poll round reads the durable suffix with one pread, hands it over
+// in a reused Shipment, appends it with one write, and replays it through a
+// tail view that grows in place. Neither end lists a directory on that
+// path. The shipper scans the leader directory when it plans (first pump,
+// truncation) and, with a durable cursor attached, only once the leader's
+// active segment seq has moved past the one it holds — i.e. once per
+// rotation. The follower re-lists its segments only after a shipment wrote
+// to a segment other than the one its reader holds (a rotation again), and
+// re-lists checkpoints only after it published one. Both count their scans
+// (ShipperStats/FollowerStats::dir_scans).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +60,7 @@
 #include "service/service.hpp"
 #include "service/wal.hpp"
 #include "util/fault_file.hpp"
+#include "util/fs.hpp"
 #include "util/rng.hpp"
 
 namespace dmis::service {
@@ -151,6 +164,7 @@ struct FollowerStats {
   std::uint64_t records_applied = 0;
   std::uint64_t ops_applied = 0;
   std::uint64_t receive_errors = 0;  ///< local write failures (fault seam)
+  std::uint64_t dir_scans = 0;  ///< local segment/checkpoint listings
 };
 
 /// The receiving half: persists shipments into its own service directory
@@ -198,13 +212,17 @@ class FollowerService {
       : dir_(std::move(dir)), options_(std::move(options)) {}
 
   [[nodiscard]] std::string target_path(const Shipment& shipment) const;
-  bool ensure_sink(const std::string& path, std::uint64_t* have);
+  bool ensure_sink(const Shipment& shipment, std::uint64_t* have);
   void drop_sink();
   /// Warm-start (or jump) from the newest published checkpoint with
-  /// lsn > applied_lsn_, if any. True if the engine moved.
+  /// lsn > applied_lsn_, if any. True if the engine moved. Lists the
+  /// checkpoints only on the first call and after a publish: nothing else
+  /// adds one to this directory.
   bool try_rewarm(std::string* error);
   /// Open reader_ on the local segment that contains applied_lsn_.
   bool open_reader_at_applied(std::string* error);
+  /// The local segment listing, re-read only when segments_stale_.
+  const std::vector<SegmentInfo>& local_segments();
 
   std::string dir_;
   FollowerOptions options_;
@@ -215,8 +233,17 @@ class FollowerService {
 
   // Shipment persistence: one open append sink (the hot file).
   std::unique_ptr<util::WritableFile> sink_;
+  Shipment::Kind sink_kind_ = Shipment::Kind::kSegment;
+  std::uint64_t sink_id_ = 0;
   std::string sink_path_;
   std::uint64_t sink_have_ = 0;
+
+  // Directory views. The listing goes stale when receive() writes to a
+  // segment other than the reader's; checkpoints are re-listed once
+  // checkpoints_published has moved past the count last looked at.
+  std::vector<SegmentInfo> segments_;
+  bool segments_stale_ = true;
+  std::optional<std::uint64_t> rewarm_checked_at_;
 
   // Tail-apply state.
   WalSegmentReader reader_;
@@ -242,13 +269,16 @@ struct ShipperStats {
   std::uint64_t bytes_shipped = 0;   ///< payload bytes of acked shipments
   std::uint64_t backoff_ticks = 0;   ///< pump ticks spent waiting
   std::uint64_t replans = 0;         ///< source files changed under us (truncation)
+  std::uint64_t dir_scans = 0;       ///< leader segment/checkpoint listings
 };
 
 /// The sending half: walks the leader directory (checkpoint first, then
 /// the segment chain) and pumps chunks through a transport. Stateless on
 /// the wire — all resume state comes back in acks — so a shipper can be
 /// restarted from scratch against a warm follower and fast-forwards
-/// instead of re-sending history.
+/// instead of re-sending history. The file being shipped is held open and
+/// read with pread into one reused Shipment, so a chunk costs one read and
+/// no allocation.
 class LogShipper {
  public:
   /// Ships from `leader_dir` (a live leader's or a dead one's — shipping
@@ -261,7 +291,10 @@ class LogShipper {
   /// only ever hold ops the leader could itself recover. Detach before
   /// destroying the leader (e.g. simulated crash); shipping then serves
   /// whole files, which is correct for a dead leader — its disk is the
-  /// recovery truth.
+  /// recovery truth. While attached, the leader's active segment is sized
+  /// from the watermark (no stat), and the directory is searched for a
+  /// successor only once the leader's segment seq is past the shipper's; a
+  /// detached shipper searches whenever it has shipped a whole file.
   void attach_durable_cursor(const MisService* leader) { leader_ = leader; }
   void detach_durable_cursor() { leader_ = nullptr; }
 
@@ -282,8 +315,14 @@ class LogShipper {
   [[nodiscard]] const ShipperStats& stats() const noexcept { return stats_; }
 
  private:
-  Pump ship(const Shipment& shipment, std::uint64_t* cursor);
+  /// Ship shipment_ (whose bytes the caller just read) and move `cursor`
+  /// to the ack.
+  Pump ship(std::uint64_t* cursor);
   void lose();
+  /// Forget the file in flight and plan again from the leader directory.
+  Pump replan(bool reship_checkpoint);
+  /// Read `len` bytes of source_ at `offset` into shipment_.bytes.
+  bool read_chunk(std::uint64_t offset, std::uint64_t len);
 
   std::string leader_dir_;
   ShipmentTransport* transport_;
@@ -307,7 +346,8 @@ class LogShipper {
   std::uint32_t backoff_remaining_ = 0;
   std::uint32_t next_backoff_ = 0;
 
-  std::vector<std::uint8_t> buf_;  // chunk read scratch, reused
+  util::ReadableFile source_;  // the checkpoint or segment being shipped
+  Shipment shipment_;          // reused: its bytes keep their capacity
 };
 
 }  // namespace dmis::service

@@ -245,7 +245,7 @@ bool WalSegmentReader::open(const std::string& path, std::string* error,
                             bool force_read) {
   done_ = false;
   tail_detail_.clear();
-  if (!file_.open(path, error, force_read)) return false;
+  if (!file_.open_tail(path, error, force_read)) return false;
   path_ = path;
   const auto fail = [&](const std::string& message) {
     set_error(error, path + ": " + message);
@@ -269,18 +269,11 @@ bool WalSegmentReader::open(const std::string& path, std::string* error,
 bool WalSegmentReader::refresh(std::string* error) {
   DMIS_ASSERT_MSG(file_.is_open(), "WalSegmentReader::refresh before open");
   if (done_ && done_state_ == Next::kSealed) return false;
-  std::error_code ec;
-  const std::uintmax_t on_disk = std::filesystem::file_size(path_, ec);
-  if (ec) {
-    set_error(error, path_ + ": " + ec.message());
-    return false;
-  }
-  if (on_disk <= file_.size()) return false;
-  // Map the grown file fresh; pos_/expected_lsn_ carry over, so the next
-  // next() revalidates exactly the bytes the previous scan stopped on.
-  util::MmapFile grown;
-  if (!grown.open(path_, error, force_read_)) return false;
-  file_ = std::move(grown);
+  // Bytes before pos_ are never read again.
+  file_.release_below(static_cast<std::size_t>(pos_));
+  // Extend the tail view in place; pos_/expected_lsn_ carry over, so the
+  // next next() revalidates exactly the bytes the previous scan stopped on.
+  if (!file_.grow(error)) return false;
   done_ = false;
   done_state_ = Next::kEnd;
   tail_detail_.clear();

@@ -199,7 +199,7 @@ class WalWriter {
 };
 
 /// One record, viewed zero-copy in the mapped segment. Valid until the
-/// reader is destroyed.
+/// reader is destroyed or refreshed.
 struct WalRecordView {
   std::uint64_t lsn = 0;
   std::span<const WalOpRecord> ops;
@@ -208,9 +208,11 @@ struct WalRecordView {
 
 /// Sequential validating reader over one segment file. Safe on a *live*
 /// segment: kEnd/kTorn leave the scan position on the first unconsumed
-/// byte, and refresh() re-maps the file after it grows, so a follower can
-/// tail the leader's active segment without ever re-reading (or worse,
-/// re-applying) the valid prefix it already consumed.
+/// byte, and refresh() extends the view after the file grows, so a follower
+/// can tail the leader's active segment without ever re-reading (or worse,
+/// re-applying) the valid prefix it already consumed. The segment is held
+/// in util::MmapFile's tail mode: a refresh costs one fstat, and growth
+/// lands in address space reserved at open, so no poll re-maps the file.
 class WalSegmentReader {
  public:
   /// Map the segment and validate its header.
@@ -232,8 +234,8 @@ class WalSegmentReader {
   /// valid prefix before it is intact either way.
   Next next(WalRecordView* out);
 
-  /// Tail-follow: re-map the file if it has grown since open()/the last
-  /// refresh and clear a kEnd/kTorn terminal state so next() rescans from
+  /// Tail-follow: extend the view if the file has grown since open()/the
+  /// last refresh and clear a kEnd/kTorn terminal state so next() rescans from
   /// the first unconsumed byte. Returns true iff new bytes are visible.
   /// Prefix-safe by construction: next() never advances past an invalid
   /// byte, so a torn tail that later completes (the writer was mid-append)

@@ -1,6 +1,6 @@
 // Shared plumbing for the binary on-disk formats (graph snapshot, topology
 // trace — docs/FORMATS.md): 8-byte section alignment, the FNV-1a payload
-// checksum, and a stdio section writer that streams bytes through the hash.
+// checksum, and a block-buffered section writer that hashes what it writes.
 // Both writers go through this one implementation so the padding and
 // checksum-coverage rules cannot drift between formats.
 #pragma once
@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 
 namespace dmis::util {
@@ -33,22 +35,45 @@ inline void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
-/// Buffered payload writer: streams section bytes through a stdio FILE
-/// while accumulating the payload checksum, zero-padding section starts to
-/// 8 bytes (pad bytes are part of the checksummed payload). `header_bytes`
-/// is the file offset where the payload begins — the caller writes the
-/// header itself (typically twice: a placeholder first, then patched with
-/// checksum() once the payload has streamed through).
+class WritableFile;
+
+/// Block-buffered payload writer. Section bytes are collected into one
+/// block of kBlockBytes; each full block is run through the FNV-1a payload
+/// checksum and handed to the sink in one write, so a per-node 1- or 8-byte
+/// section write is a memcpy rather than a stdio call plus a hash call.
+/// Section starts are zero-padded to 8 bytes (pad bytes are part of the
+/// checksummed payload). `header_bytes` is the file offset where the
+/// payload begins — the caller writes the header itself.
+///
+/// Three sinks, one byte stream:
+///   * a stdio FILE — the one-pass writer, which seeks back afterwards to
+///     patch the header with checksum();
+///   * a util::WritableFile — append-only (fault-injectable) saves, which
+///     cannot seek back and so run a hash-only pass first;
+///   * none — that hash-only pre-pass.
+/// Call finish() after the last write; it flushes the partial block, and
+/// checksum() then covers the whole payload. The bytes and the checksum are
+/// exactly what an unbuffered per-call writer would produce.
 class PayloadWriter {
  public:
-  PayloadWriter(std::FILE* f, std::uint64_t header_bytes)
-      : f_(f), header_bytes_(header_bytes) {}
+  /// Large enough that a per-block write and hash call cost nothing next
+  /// to the block's bytes; small enough that the block, freed back to the
+  /// heap after a save, does not show in a small service's resident set.
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+  /// Hash only: a checksum pre-pass.
+  explicit PayloadWriter(std::uint64_t header_bytes);
+  PayloadWriter(std::FILE* f, std::uint64_t header_bytes);
+  /// Write failures land in *error (as the WritableFile reports them).
+  PayloadWriter(WritableFile* file, std::uint64_t header_bytes, std::string* error);
 
   bool write(const void* data, std::size_t bytes) {
-    if (bytes == 0) return true;
-    hash_ = fnv1a64(static_cast<const std::uint8_t*>(data), bytes, hash_);
-    written_ += bytes;
-    return std::fwrite(data, 1, bytes, f_) == bytes;
+    if (bytes <= kBlockBytes - fill_) {
+      if (bytes != 0) std::memcpy(block_.get() + fill_, data, bytes);
+      fill_ += bytes;
+      return true;
+    }
+    return write_through(static_cast<const std::uint8_t*>(data), bytes);
   }
 
   /// Zero-pad so the next section starts 8-byte aligned.
@@ -58,48 +83,31 @@ class PayloadWriter {
     return write(zeros, static_cast<std::size_t>(target - position()));
   }
 
+  /// Flush the partial block. False if any write to the sink failed.
+  bool finish() { return flush(); }
+
   [[nodiscard]] std::uint64_t position() const noexcept {
-    return header_bytes_ + written_;
+    return header_bytes_ + emitted_ + fill_;
   }
+  /// FNV-1a over every payload byte; valid after finish().
   [[nodiscard]] std::uint64_t checksum() const noexcept { return hash_; }
 
  private:
-  std::FILE* f_;
+  /// Flush the block, then hash and emit `data` straight from the caller's
+  /// memory (a write larger than the block space left is never copied).
+  bool write_through(const std::uint8_t* data, std::size_t bytes);
+  bool flush();
+  bool emit(const std::uint8_t* data, std::size_t bytes);
+
+  std::FILE* f_ = nullptr;
+  WritableFile* file_ = nullptr;
+  std::string* error_ = nullptr;
   std::uint64_t header_bytes_;
-  std::uint64_t written_ = 0;
+  std::unique_ptr<std::uint8_t[]> block_;
+  std::size_t fill_ = 0;        // buffered bytes in block_
+  std::uint64_t emitted_ = 0;   // bytes hashed and handed to the sink
   std::uint64_t hash_ = kFnv1aSeed;
-};
-
-/// PayloadWriter's interface with the file removed: a checksum pre-pass.
-/// Writers that cannot seek back to patch a header (append-only
-/// WritableFile sinks, e.g. fault-injected checkpoint saves) stream the
-/// payload through this first, then write the finished header up front and
-/// the payload second.
-class PayloadHasher {
- public:
-  explicit PayloadHasher(std::uint64_t header_bytes) : header_bytes_(header_bytes) {}
-
-  bool write(const void* data, std::size_t bytes) {
-    hash_ = fnv1a64(static_cast<const std::uint8_t*>(data), bytes, hash_);
-    written_ += bytes;
-    return true;
-  }
-
-  bool align8() {
-    static constexpr std::uint8_t zeros[8] = {};
-    const std::uint64_t target = pad8(position());
-    return write(zeros, static_cast<std::size_t>(target - position()));
-  }
-
-  [[nodiscard]] std::uint64_t position() const noexcept {
-    return header_bytes_ + written_;
-  }
-  [[nodiscard]] std::uint64_t checksum() const noexcept { return hash_; }
-
- private:
-  std::uint64_t header_bytes_;
-  std::uint64_t written_ = 0;
-  std::uint64_t hash_ = kFnv1aSeed;
+  bool ok_ = true;
 };
 
 }  // namespace dmis::util

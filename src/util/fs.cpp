@@ -4,12 +4,14 @@
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "util/binary_io.hpp"  // set_error
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DMIS_HAVE_POSIX_FS 1
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -89,6 +91,96 @@ bool remove_file(const std::string& path, std::string* error) {
     return false;
   }
   return true;
+}
+
+ReadableFile::ReadableFile(ReadableFile&& other) noexcept { *this = std::move(other); }
+
+ReadableFile& ReadableFile::operator=(ReadableFile&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    file_ = std::exchange(other.file_, nullptr);
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+bool ReadableFile::is_open() const noexcept { return fd_ >= 0 || file_ != nullptr; }
+
+void ReadableFile::close() noexcept {
+#if defined(DMIS_HAVE_POSIX_FS)
+  if (fd_ >= 0) ::close(fd_);
+#endif
+  if (file_ != nullptr) std::fclose(file_);
+  fd_ = -1;
+  file_ = nullptr;
+  path_.clear();
+}
+
+bool ReadableFile::open(const std::string& path, std::string* error) {
+  close();
+#if defined(DMIS_HAVE_POSIX_FS)
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
+    set_error(error, errno_context(path, "open", errno));
+    return false;
+  }
+#else
+  file_ = std::fopen(path.c_str(), "rb");
+  if (file_ == nullptr) {
+    set_error(error, errno_context(path, "fopen", errno));
+    return false;
+  }
+#endif
+  path_ = path;
+  return true;
+}
+
+bool ReadableFile::read_at(std::uint64_t offset, void* out, std::size_t bytes,
+                           std::string* error) const {
+  auto* dst = static_cast<std::uint8_t*>(out);
+#if defined(DMIS_HAVE_POSIX_FS)
+  while (bytes > 0) {
+    const ::ssize_t got = ::pread(fd_, dst, bytes, static_cast<::off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      set_error(error, got < 0 ? errno_context(path_, "pread", errno)
+                               : path_ + ": pread: short read");
+      return false;
+    }
+    dst += got;
+    offset += static_cast<std::uint64_t>(got);
+    bytes -= static_cast<std::size_t>(got);
+  }
+  return true;
+#else
+  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
+      std::fread(dst, 1, bytes, file_) != bytes) {
+    set_error(error, path_ + ": fread: short read");
+    return false;
+  }
+  return true;
+#endif
+}
+
+bool ReadableFile::stat(std::uint64_t* size, bool* unlinked, std::string* error) const {
+#if defined(DMIS_HAVE_POSIX_FS)
+  struct ::stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    set_error(error, errno_context(path_, "fstat", errno));
+    return false;
+  }
+  *size = static_cast<std::uint64_t>(st.st_size);
+  *unlinked = st.st_nlink == 0;
+  return true;
+#else
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path_, ec);
+  *unlinked = static_cast<bool>(ec);
+  *size = ec ? 0 : static_cast<std::uint64_t>(bytes);
+  (void)error;
+  return true;
+#endif
 }
 
 }  // namespace dmis::util

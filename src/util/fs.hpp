@@ -18,6 +18,8 @@
 //     because several filesystems reject fsync on directory fds.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -45,6 +47,36 @@ void fsync_parent_dir(const std::string& path);
 /// first; fsync_stream does that.
 bool atomic_publish(const std::string& tmp_path, const std::string& final_path,
                     std::string* error);
+
+/// A held read-only handle for positional reads of a file that another
+/// writer appends to or unlinks (the log shipper's source segment or
+/// checkpoint): one open per file instead of one per read, and size and
+/// liveness from fstat on the descriptor instead of a path lookup.
+class ReadableFile {
+ public:
+  ReadableFile() = default;
+  ~ReadableFile() { close(); }
+  ReadableFile(ReadableFile&& other) noexcept;
+  ReadableFile& operator=(ReadableFile&& other) noexcept;
+
+  bool open(const std::string& path, std::string* error);
+  void close() noexcept;
+  [[nodiscard]] bool is_open() const noexcept;
+
+  /// Read exactly `bytes` at `offset`; false (with *error) on an error or a
+  /// short read.
+  bool read_at(std::uint64_t offset, void* out, std::size_t bytes,
+               std::string* error) const;
+
+  /// The file's current size, and whether its last name was unlinked since
+  /// open (the bytes stay readable through the handle either way).
+  bool stat(std::uint64_t* size, bool* unlinked, std::string* error) const;
+
+ private:
+  int fd_ = -1;
+  std::FILE* file_ = nullptr;  // platforms without POSIX descriptors
+  std::string path_;
+};
 
 /// mkdir -p equivalent; true if the directory exists afterwards.
 bool ensure_dir(const std::string& dir, std::string* error);

@@ -49,6 +49,28 @@ class MmapFile {
   bool open(const std::string& path, std::string* error = nullptr,
             bool force_read = false);
 
+  /// Tail mode, for a file another writer only appends to (a live WAL
+  /// segment): open() that also keeps the descriptor and maps address space
+  /// past EOF (at least twice the size, 1 MiB minimum), so grow() can extend
+  /// the view in place.
+  bool open_tail(const std::string& path, std::string* error = nullptr,
+                 bool force_read = false);
+
+  /// Tail mode only: extend size() to the file's current length. True iff
+  /// the view grew; false when it did not or on error (*error set). Growth
+  /// inside the reservation costs one fstat and touches no mapping; past it
+  /// the file is mapped again with a doubled reservation, and on the read
+  /// fallback only the new suffix is read. Pointers into the old view stay
+  /// valid unless the mapping moved (or the fallback buffer reallocated).
+  bool grow(std::string* error = nullptr);
+
+  /// Tail mode: drop this process's page mappings of the whole pages below
+  /// `offset` (bytes a sequential reader is done with), at most once per
+  /// MiB of progress, so the resident set holds the unread tail rather than
+  /// the whole file. The bytes stay readable — a later touch faults them
+  /// back in from the page cache. No-op on the read fallback.
+  void release_below(std::size_t offset) noexcept;
+
   /// Unmap / free and return to the closed state.
   void reset() noexcept;
 
@@ -78,8 +100,16 @@ class MmapFile {
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
  private:
+  bool open_impl(const std::string& path, std::string* error, bool force_read, bool tail);
+  bool map_tail(std::size_t at_least);
+
   void* map_ = nullptr;  // mmap base, or nullptr on the fallback path
   std::size_t size_ = 0;
+  std::size_t map_len_ = 0;  // mapped bytes: size_, or the tail reservation
+  std::size_t released_ = 0;  // tail mode: prefix given back by release_below
+  int fd_ = -1;              // tail mode on the mapped path only
+  bool tail_ = false;
+  std::string path_;         // tail mode: for grow()'s errors and re-reads
   std::vector<std::uint8_t> buffer_;  // fallback storage (empty when mapped)
   bool open_ = false;
 };

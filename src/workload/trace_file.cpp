@@ -61,7 +61,7 @@ bool TraceFile::save(const std::string& path, const Trace& trace, std::string* e
   ok = ok && w.write(records.data(), records.size() * sizeof(TraceOpRecord)) &&
        w.align8();
   ok = ok && w.write(arena.data(), arena.size() * sizeof(graph::NodeId)) &&
-       w.align8();
+       w.align8() && w.finish();
   DMIS_ASSERT(!ok || w.position() == header.file_size);
   header.payload_checksum = w.checksum();
   ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&

@@ -149,4 +149,66 @@ TEST_F(MmapFileTest, ZeroLengthFileOpensEmpty) {
   }
 }
 
+TEST_F(MmapFileTest, TailModeGrowsInPlaceAndPastItsReservation) {
+  // open_tail + grow is how a follower tails a live WAL segment: growth
+  // inside the reservation keeps data() where it was (no re-map), growth
+  // past it re-maps, and both paths always show exactly the file's bytes.
+  const auto bytes = pattern(3 << 20);
+  for (const bool force_read : {false, true}) {
+    const std::string path = write_file("tail.bin", {});
+    MmapFile file;
+    std::string error;
+    ASSERT_TRUE(file.open_tail(path, &error, force_read)) << error;
+    EXPECT_EQ(file.size(), 0U);
+    EXPECT_FALSE(file.grow(&error)) << "no growth yet";
+
+    std::size_t have = 0;
+    const auto append = [&](std::size_t n) {
+      std::FILE* f = std::fopen(path.c_str(), "ab");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data() + have, 1, n, f), n);
+      std::fclose(f);
+      have += n;
+    };
+    append(100);
+    ASSERT_TRUE(file.grow(&error)) << error;
+    ASSERT_EQ(file.size(), have);
+    const std::uint8_t* before = file.data();
+    append(4096 * 3 + 17);
+    ASSERT_TRUE(file.grow(&error)) << error;
+    ASSERT_EQ(file.size(), have);
+    if (!force_read && file.is_mapped()) {
+      EXPECT_EQ(file.data(), before) << "growth inside the reservation re-mapped";
+    }
+    EXPECT_FALSE(file.grow(&error));
+    append(bytes.size() - have);  // far past the 1 MiB minimum reservation
+    ASSERT_TRUE(file.grow(&error)) << error;
+    ASSERT_EQ(file.size(), bytes.size());
+    EXPECT_EQ(std::memcmp(file.data(), bytes.data(), bytes.size()), 0);
+
+    MmapFile moved = std::move(file);  // the held descriptor moves with it
+    EXPECT_FALSE(file.grow(&error));
+    EXPECT_FALSE(moved.grow(&error));
+    EXPECT_EQ(std::memcmp(moved.data(), bytes.data(), bytes.size()), 0);
+    // Released pages fault back in from the page cache, byte-identical.
+    moved.release_below(bytes.size() / 2);
+    moved.release_below(bytes.size() + 1);
+    EXPECT_EQ(std::memcmp(moved.data(), bytes.data(), bytes.size()), 0);
+    std::filesystem::remove(path);
+  }
+}
+
+TEST_F(MmapFileTest, GrowIsANoOpOutsideTailMode) {
+  const std::string path = write_file("plain.bin", pattern(64));
+  MmapFile file;
+  std::string error;
+  ASSERT_TRUE(file.open(path, &error)) << error;
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputc(1, f);
+  std::fclose(f);
+  EXPECT_FALSE(file.grow(&error));
+  EXPECT_EQ(file.size(), 64U);
+}
+
 }  // namespace

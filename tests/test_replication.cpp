@@ -491,6 +491,109 @@ TEST(Replication, CheckpointAtLsnZeroShipsToFollower) {
   expect_same(follower->engine(), leader->engine(), "lsn-0 bootstrapped follower");
 }
 
+TEST(Replication, SteadyStateTailDoesNotRescanDirectory) {
+  // A caught-up follower's cost per poll must not grow with uptime: with
+  // hundreds of shipped segments on disk, neither end lists a directory
+  // unless the leader rotated or a checkpoint was published. Idle polls
+  // (nothing shipped since the last one) scan nothing at all.
+  TempDir leader_dir("scan_leader");
+  TempDir follower_dir("scan_follower");
+  std::string error;
+
+  ServiceConfig config = leader_config(leader_dir.path);
+  config.segment_bytes = 512;  // a rotation every few records
+  auto leader = MisService::open(config, &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  const auto batches = make_stream(507, 4800, 4);
+  const std::size_t join = batches.size() / 8;
+  for (std::size_t i = 0; i < join; ++i) ASSERT_TRUE(leader->apply(batches[i], &error));
+  // The follower joins late, so its first plan ships a checkpoint.
+  ASSERT_TRUE(leader->checkpoint(&error)) << error;
+
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport transport(&*follower);
+  LogShipper shipper(leader_dir.path, &transport);
+  shipper.attach_durable_cursor(&*leader);
+  const std::uint64_t first_seq = leader->wal_segment_seq();
+  settle(shipper, *follower);
+
+  std::uint64_t idle_polls = 0;
+  for (std::size_t i = join; i < batches.size(); ++i) {
+    ASSERT_TRUE(leader->apply(batches[i], &error)) << error;
+    ASSERT_TRUE(shipper.drain(&error)) << error;
+    ASSERT_TRUE(follower->poll(&error)) << error;
+    const std::uint64_t follower_scans = follower->stats().dir_scans;
+    const std::uint64_t shipper_scans = shipper.stats().dir_scans;
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_TRUE(shipper.drain(&error)) << error;
+      ASSERT_TRUE(follower->poll(&error)) << error;
+      ++idle_polls;
+    }
+    ASSERT_EQ(follower->stats().dir_scans, follower_scans) << "idle poll listed a directory";
+    ASSERT_EQ(shipper.stats().dir_scans, shipper_scans) << "idle drain listed a directory";
+  }
+
+  const std::uint64_t rotations = leader->wal_segment_seq() - first_seq;
+  const std::uint64_t publishes = follower->stats().checkpoints_published;
+  ASSERT_GE(service::list_segments(follower_dir.path).size(), 200U);
+  EXPECT_EQ(publishes, 1U);
+  // One successor search per rotation; the shipper's plan lists both kinds
+  // once, the follower lists checkpoints once per publish (plus its first
+  // look) and segments once more when it first opens a reader.
+  EXPECT_LE(shipper.stats().dir_scans, rotations + 2);
+  EXPECT_LE(follower->stats().dir_scans, rotations + publishes + 2);
+  EXPECT_GT(idle_polls, 10 * follower->stats().dir_scans);
+
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), reference(batches, batches.size(), 7),
+              "tail over hundreds of segments");
+}
+
+TEST(Replication, ShipperReplansWhenItsHeldSegmentIsTruncatedAway) {
+  // The shipper reads through a held descriptor, which keeps an unlinked
+  // segment readable. A leader checkpoint that truncates the segment being
+  // shipped (and its successors) must still send the shipper back to the
+  // newest checkpoint — otherwise it would finish the dead segment, skip
+  // to the live one and leave the follower stuck at an lsn no segment
+  // chains from.
+  TempDir leader_dir("held_leader");
+  TempDir follower_dir("held_follower");
+  std::string error;
+
+  ServiceConfig config = leader_config(leader_dir.path);
+  config.segment_bytes = 1 << 10;
+  auto leader = MisService::open(config, &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  const auto batches = make_stream(508, 1600, 8);
+  const std::size_t half = batches.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) ASSERT_TRUE(leader->apply(batches[i], &error));
+
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport transport(&*follower);
+  LogShipperOptions ship_options;
+  ship_options.chunk_bytes = 256;
+  LogShipper shipper(leader_dir.path, &transport, ship_options);
+  shipper.attach_durable_cursor(&*leader);
+  for (int tick = 0; tick < 3; ++tick) (void)shipper.pump(&error);  // mid first segment
+  ASSERT_TRUE(follower->poll(&error)) << error;
+  const std::uint64_t applied_before = follower->applied_lsn();
+
+  ASSERT_TRUE(leader->checkpoint(&error)) << error;  // truncates what is held
+  for (std::size_t i = half; i < batches.size(); ++i)
+    ASSERT_TRUE(leader->apply(batches[i], &error));
+  settle(shipper, *follower);
+
+  EXPECT_GE(shipper.stats().replans, 1U);
+  EXPECT_GE(follower->stats().checkpoints_published, 1U);
+  EXPECT_GT(follower->stats().rewarms, 0U);
+  EXPECT_LT(applied_before, leader->last_checkpoint_lsn());
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), reference(batches, batches.size(), 7),
+              "after the held segment was truncated");
+}
+
 TEST(Replication, PromoteWithNothingShippedServesFromEmpty) {
   TempDir follower_dir("empty_promote");
   std::string error;

@@ -1,6 +1,7 @@
 // Snapshot round-trip and rejection tests: save → mmap-load → compare
 // (graph equality, MIS equality, engine-state equivalence under continued
-// churn) plus truncated / corrupt-header / corrupt-payload rejection.
+// churn) plus truncated / corrupt-header / corrupt-payload rejection, and
+// the byte identity of the block-buffered writer across its sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include "core/engine_snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
+#include "util/binary_io.hpp"
+#include "util/fault_file.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -467,6 +470,120 @@ TEST(Snapshot, ChecksumCatchesPayloadBitFlips) {
   std::string error;
   EXPECT_FALSE(snap.verify(&error));
   EXPECT_NE(error.find("checksum"), std::string::npos);
+}
+
+graph::EngineStateView engine_state(const core::CascadeEngine& engine) {
+  graph::EngineStateView state;
+  const auto keys = engine.priorities().raw_keys();
+  const NodeId bound = engine.graph().id_bound();
+  state.keys = keys.size() > bound ? keys.first(bound) : keys;
+  state.membership = engine.membership();
+  state.priority_seed = engine.priorities().seed();
+  const util::Rng::State rng = engine.priorities().rng_state();
+  for (int w = 0; w < 4; ++w) state.rng_state[w] = rng[static_cast<std::size_t>(w)];
+  return state;
+}
+
+TEST(SnapshotWriter, PayloadWriterMatchesAnUnbufferedStream) {
+  // Writes of every size class — single bytes, sub-block runs, runs that
+  // straddle a block boundary, runs larger than a whole block — must come
+  // out as the plain concatenation, with FNV-1a over exactly those bytes.
+  util::Rng rng(404);
+  std::vector<std::uint8_t> source(16 * util::PayloadWriter::kBlockBytes);
+  for (auto& b : source) b = static_cast<std::uint8_t>(rng.next_u64());
+  TempFile file("payload_writer.bin");
+  std::FILE* f = std::fopen(file.path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  util::PayloadWriter w(f, 16);
+  util::PayloadWriter hasher(16);
+  std::vector<std::uint8_t> expected;
+  std::size_t at = 0;
+  const std::size_t sizes[] = {1, 7, 8, 3, 4096, util::PayloadWriter::kBlockBytes - 5000,
+                               9000, util::PayloadWriter::kBlockBytes + 3, 1, 0,
+                               util::PayloadWriter::kBlockBytes};
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t size : sizes) {
+      const std::size_t n = std::min(size, source.size() - at);
+      ASSERT_TRUE(w.write(source.data() + at, n));
+      ASSERT_TRUE(hasher.write(source.data() + at, n));
+      expected.insert(expected.end(), source.begin() + static_cast<std::ptrdiff_t>(at),
+                      source.begin() + static_cast<std::ptrdiff_t>(at + n));
+      at += n;
+      ASSERT_TRUE(w.align8());
+      ASSERT_TRUE(hasher.align8());
+      expected.resize(static_cast<std::size_t>(util::pad8(16 + expected.size()) - 16), 0);
+      ASSERT_EQ(w.position(), 16 + expected.size());
+    }
+  }
+  ASSERT_LT(at, source.size()) << "every write above must have carried its full size";
+  ASSERT_TRUE(w.finish());
+  ASSERT_TRUE(hasher.finish());
+  std::fclose(f);
+  EXPECT_EQ(read_bytes(file.path), expected);
+  EXPECT_EQ(w.checksum(), util::fnv1a64(expected.data(), expected.size()));
+  EXPECT_EQ(hasher.checksum(), w.checksum());
+}
+
+TEST(SnapshotWriter, StdioAndFactoryPathsWriteIdenticalBytes) {
+  // The one-pass stdio writer (seek back, patch the checksum) and the
+  // two-pass WritableFile writer (hash first, header first) must produce
+  // the same file for every version, from a materialized and from a
+  // borrowed graph (whose edge table is merged from base + overlay). The
+  // graph is large enough that every section crosses the writer's block.
+  const DynamicGraph g = churned_graph(60'000, 515);
+  core::CascadeEngine materialized(g, 29);
+  TempFile base_file("writer_base.snap");
+  std::string error;
+  ASSERT_TRUE(core::save_snapshot(materialized, base_file.path, &error)) << error;
+  auto base = std::make_shared<Snapshot>();
+  ASSERT_TRUE(base->open(base_file.path, &error)) << error;
+  core::CascadeEngine borrowed(std::shared_ptr<const Snapshot>(base), 29,
+                               graph::SnapshotLoad::kWarm);
+  ASSERT_TRUE(borrowed.graph().borrowed());
+  util::Rng rng(516);
+  workload::ChurnConfig churn;
+  churn.p_abrupt = 0.3;
+  workload::ChurnGenerator gen(g, churn, 517);
+  for (int i = 0; i < 20'000; ++i) {
+    const workload::GraphOp op = gen.next();
+    workload::apply(materialized, op);
+    workload::apply(borrowed, op);
+  }
+  ASSERT_GT(borrowed.graph().overlay_nodes(), 0U);
+
+  const util::FileFactory factory = util::open_writable;
+  for (const auto* engine : {&materialized, &borrowed}) {
+    const char* kind = engine == &materialized ? "materialized" : "borrowed";
+    const DynamicGraph& graph = engine->graph();
+    const graph::EngineStateView state = engine_state(*engine);
+    for (const std::uint32_t version : {1U, 2U, 3U}) {
+      const std::string tag = std::string(kind) + "/v" + std::to_string(version);
+      TempFile via_stdio("writer_stdio.snap");
+      TempFile via_factory("writer_factory.snap");
+      bool saved_stdio = false;
+      bool saved_factory = false;
+      if (version == 1) {
+        saved_stdio = graph::save_snapshot(graph, via_stdio.path, &error);
+        saved_factory = graph::save_snapshot(graph, via_factory.path, factory, &error);
+      } else if (version == 2) {
+        saved_stdio = graph::save_snapshot(graph, state, via_stdio.path, &error);
+        saved_factory = graph::save_snapshot(graph, state, via_factory.path, factory, &error);
+      } else {
+        saved_stdio = graph::save_snapshot_sharded(graph, state, via_stdio.path, 4, &error);
+        saved_factory =
+            graph::save_snapshot_sharded(graph, state, via_factory.path, 4, factory, &error);
+      }
+      ASSERT_TRUE(saved_stdio && saved_factory) << tag << ": " << error;
+      const std::vector<std::uint8_t> a = read_bytes(via_stdio.path);
+      ASSERT_GT(a.size(), 2 * util::PayloadWriter::kBlockBytes) << tag;
+      EXPECT_TRUE(a == read_bytes(via_factory.path)) << tag << ": paths diverged";
+      Snapshot snap;
+      ASSERT_TRUE(snap.open(via_stdio.path, &error)) << tag << ": " << error;
+      EXPECT_EQ(snap.header().version, version) << tag;
+      EXPECT_TRUE(snap.verify(&error)) << tag << ": " << error;
+      EXPECT_TRUE(DynamicGraph::load(snap) == graph) << tag;
+    }
+  }
 }
 
 }  // namespace

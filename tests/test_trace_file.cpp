@@ -16,6 +16,7 @@
 #include "core/cascade_engine.hpp"
 #include "core/dist_mis.hpp"
 #include "graph/generators.hpp"
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 #include "workload/batched.hpp"
 #include "workload/churn.hpp"
@@ -83,6 +84,26 @@ TEST(TraceFile, RoundTripPreservesEveryOpKind) {
     EXPECT_TRUE(tf.verify(&error)) << error;
     expect_same_trace(trace, tf.to_trace());
   }
+}
+
+TEST(TraceFile, MultiBlockTraceRoundTrips) {
+  // Ops and arena sections larger than the payload writer's block:
+  // the stream is emitted in several blocks and must still round-trip,
+  // with the header checksum equal to FNV-1a over the payload bytes.
+  const Trace trace = rich_trace(3000, 60'000, 6);
+  TempFile file("trace_blocks.trc");
+  std::string error;
+  ASSERT_TRUE(TraceFile::save(file.path, trace, &error)) << error;
+  const std::vector<std::uint8_t> bytes = read_bytes(file.path);
+  ASSERT_GT(bytes.size(), util::PayloadWriter::kBlockBytes + sizeof(TraceFileHeader));
+  TraceFileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  EXPECT_EQ(header.payload_checksum,
+            util::fnv1a64(bytes.data() + sizeof(header), bytes.size() - sizeof(header)));
+  TraceFile tf;
+  ASSERT_TRUE(tf.open(file.path, &error)) << error;
+  EXPECT_TRUE(tf.verify(&error)) << error;
+  expect_same_trace(trace, tf.to_trace());
 }
 
 TEST(TraceFile, EmptyTraceRoundTrips) {

@@ -1,11 +1,15 @@
 // Unit tests for util: RNG determinism and distributions, online statistics,
-// histograms, distribution-comparison measures, table rendering, CLI parsing.
+// histograms, distribution-comparison measures, table rendering, CLI parsing,
+// and the two CRC-32C implementations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -230,6 +234,46 @@ TEST(TableTest, PlusMinusCell) {
 TEST(FormatDouble, Precision) {
   EXPECT_EQ(dmis::util::format_double(3.14159, 2), "3.14");
   EXPECT_EQ(dmis::util::format_double(2.0, 0), "2");
+}
+
+TEST(Crc32c, CheckValueOnEveryPath) {
+  // The CRC-32C catalogue check value: crc32c("123456789") == 0xE3069283.
+  const char* check = "123456789";
+  EXPECT_EQ(dmis::util::crc32c(check, 9), 0xE3069283U);
+  EXPECT_EQ(dmis::util::detail::crc32c_portable(check, 9, 0), 0xE3069283U);
+  if (dmis::util::detail::crc32c_hardware_available()) {
+    EXPECT_EQ(dmis::util::detail::crc32c_hardware(check, 9, 0), 0xE3069283U);
+  }
+  EXPECT_EQ(dmis::util::crc32c(check, 0), 0U);
+}
+
+TEST(Crc32c, HardwareMatchesTableOverLengthsAlignmentsAndSeeds) {
+  // WAL records written on one host are read on another, so the
+  // instruction path must be bit-identical to the table loop: every length
+  // 0..5000, every start offset mod 8, and chained seeds.
+  namespace d = dmis::util::detail;
+  if (!d::crc32c_hardware_available()) GTEST_SKIP() << "no CRC32C instruction here";
+  Rng rng(0xC5C);
+  std::vector<std::uint8_t> buf(5000 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t len = 0; len <= 5000; ++len) {
+    const std::size_t start = len % 8;
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    ASSERT_EQ(d::crc32c_hardware(buf.data() + start, len, 0),
+              d::crc32c_portable(buf.data() + start, len, 0))
+        << "len " << len;
+    ASSERT_EQ(d::crc32c_hardware(buf.data() + start, len, seed),
+              d::crc32c_portable(buf.data() + start, len, seed))
+        << "len " << len << " seeded";
+  }
+  // Chaining over a split equals one pass, on both paths and across them.
+  for (std::size_t cut = 0; cut <= 64; ++cut) {
+    const std::uint32_t whole = d::crc32c_portable(buf.data() + 3, 1000, 0);
+    const std::uint32_t hw_head = d::crc32c_hardware(buf.data() + 3, cut, 0);
+    EXPECT_EQ(d::crc32c_portable(buf.data() + 3 + cut, 1000 - cut, hw_head), whole);
+    const std::uint32_t sw_head = d::crc32c_portable(buf.data() + 3, cut, 0);
+    EXPECT_EQ(d::crc32c_hardware(buf.data() + 3 + cut, 1000 - cut, sw_head), whole);
+  }
 }
 
 }  // namespace
