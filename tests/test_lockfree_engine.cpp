@@ -5,24 +5,20 @@
 // must equal the sequential greedy oracle's on the same priority keys. The
 // suite covers the paper's seed constructions (clique / path / star), the
 // abrupt-delete Lemma 13 shape (hub removal waking the whole neighborhood),
-// epoch-tag rollover, snapshot warm starts (v2 and shard-partitioned v3,
-// materialized and borrowed), and a multi-threaded churn stress loop that
+// epoch-tag rollover, and a multi-threaded churn stress loop that
 // the CI TSan leg runs 4-threaded (this file is in the TSan job's target
 // list; under DMIS_THREADS=4 every constructor below defaults to 4 workers,
-// so the stress loop races real threads).
+// so the stress loop races real threads). Snapshot starts are covered by
+// test_snapshot.cpp's engine × source × mode × version matrix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <string>
 
 #include "core/cascade_engine.hpp"
-#include "core/engine_snapshot.hpp"
 #include "core/greedy_mis.hpp"
 #include "core/lockfree_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
-#include "graph/snapshot.hpp"
 #include "workload/churn.hpp"
 #include "workload/trace.hpp"
 
@@ -178,55 +174,6 @@ TEST(LockFreeEngine, EpochTagRollover) {
   // The counter wrapped past ~0 and restarted low.
   EXPECT_LT(engine.debug_epoch(), 64U);
   engine.verify();
-}
-
-// Warm starts: v2 and shard-partitioned v3 snapshots, materialized and
-// borrowed, must all reconstruct the exact persisted fixpoint and then
-// track the oracle under further churn (i.e. the RNG/keys continuation is
-// real, not just the frozen membership).
-TEST(LockFreeEngine, SnapshotWarmStartAllPaths) {
-  util::Rng rng(31);
-  const graph::DynamicGraph g0 = graph::random_avg_degree(300, 7.0, rng);
-  CascadeEngine origin(g0, 42);
-  const std::string base =
-      (std::filesystem::temp_directory_path() / "dmis_test_lockfree").string();
-  const std::string v2 = base + ".v2.snap";
-  const std::string v3 = base + ".v3.snap";
-  std::string error;
-  ASSERT_TRUE(save_snapshot(origin, v2, &error)) << error;
-  ASSERT_TRUE(save_snapshot_sharded(origin, v3, 4, &error)) << error;
-
-  for (const std::string& path : {v2, v3}) {
-    graph::Snapshot snap;
-    ASSERT_TRUE(snap.open(path, &error)) << error;
-    LockFreeEngine warm(snap, snap.priority_seed(), graph::SnapshotLoad::kWarm,
-                        /*workers=*/4);
-    EXPECT_EQ(warm.membership(), origin.membership());
-    EXPECT_EQ(warm.mis_size(), origin.mis_size());
-    warm.verify();
-
-    auto shared = std::make_shared<graph::Snapshot>();
-    ASSERT_TRUE(shared->open(path, &error)) << error;
-    const std::uint64_t seed = shared->priority_seed();
-    LockFreeEngine borrowed(std::move(shared), seed, graph::SnapshotLoad::kWarm,
-                            /*workers=*/4);
-    EXPECT_EQ(borrowed.membership(), origin.membership());
-    borrowed.verify();
-
-    // Continuation: churn past the restart and stay oracle-exact.
-    workload::ChurnGenerator gen(g0, {}, 7);
-    for (int i = 0; i < 64; ++i) {
-      const workload::GraphOp op = gen.next();
-      workload::apply(warm, op);
-      workload::apply(borrowed, op);
-      EXPECT_EQ(warm.membership(), borrowed.membership());
-    }
-    expect_matches_oracle(warm);
-    warm.verify();
-    borrowed.verify();
-  }
-  std::filesystem::remove(v2);
-  std::filesystem::remove(v3);
 }
 
 // Multi-threaded stress: 4 workers racing over mixed churn on a graph big

@@ -1,7 +1,8 @@
 // Snapshot round-trip and rejection tests: save → mmap-load → compare
-// (graph equality, MIS equality, engine-state equivalence under continued
-// churn) plus truncated / corrupt-header / corrupt-payload rejection, and
-// the byte identity of the block-buffered writer across its sinks.
+// (graph equality; the engine × source × load-mode × version matrix of
+// warm and cold starts under continued churn) plus truncated /
+// corrupt-header / corrupt-payload rejection, and the byte identity of the
+// block-buffered writer across its sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "core/dist_mis.hpp"
 #include "core/async_mis.hpp"
 #include "core/engine_snapshot.hpp"
+#include "core/greedy_mis.hpp"
+#include "core/lockfree_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/binary_io.hpp"
@@ -109,62 +113,6 @@ TEST(Snapshot, RoundTripShapes) {
 TEST(Snapshot, RoundTripChurnedRandomGraphs) {
   for (const std::uint64_t seed : {3u, 17u, 99u})
     expect_round_trip(churned_graph(600, seed), "churn" + std::to_string(seed));
-}
-
-TEST(Snapshot, MisEqualityFromSnapshot) {
-  const DynamicGraph g = churned_graph(500, 11);
-  TempFile file("snap_mis.snap");
-  ASSERT_TRUE(g.save(file.path));
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path));
-
-  const core::CascadeEngine direct(g, /*priority_seed=*/77);
-  const core::CascadeEngine from_snap(snap, /*priority_seed=*/77);
-  EXPECT_EQ(direct.mis_size(), from_snap.mis_size());
-  EXPECT_TRUE(direct.mis_set() == from_snap.mis_set());
-  from_snap.verify();
-}
-
-TEST(Snapshot, EngineStateEquivalenceUnderContinuedChurn) {
-  const DynamicGraph g = churned_graph(400, 23);
-  TempFile file("snap_equiv.snap");
-  ASSERT_TRUE(g.save(file.path));
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path));
-
-  core::CascadeEngine direct(g, 5);
-  core::CascadeEngine from_snap(snap, 5);
-
-  // Drive both engines with the same valid churn continuation; every op
-  // must produce identical adjustment counts and identical membership.
-  workload::ChurnGenerator gen(g, workload::ChurnConfig{}, 31);
-  for (int i = 0; i < 1500; ++i) {
-    const workload::GraphOp op = gen.next();
-    workload::apply(direct, op);
-    workload::apply(from_snap, op);
-    ASSERT_EQ(direct.last_report().adjustments, from_snap.last_report().adjustments)
-        << "op " << i;
-  }
-  EXPECT_TRUE(direct.graph() == from_snap.graph());
-  EXPECT_TRUE(direct.mis_set() == from_snap.mis_set());
-  from_snap.verify();
-}
-
-TEST(Snapshot, DistributedEnginesFromSnapshot) {
-  const DynamicGraph g = churned_graph(300, 41);
-  TempFile file("snap_engines.snap");
-  ASSERT_TRUE(g.save(file.path));
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path));
-
-  const core::CascadeEngine oracle(g, 9);
-  core::DistMis dist(snap, 9);
-  dist.verify();
-  EXPECT_TRUE(oracle.mis_set() == dist.mis_set());
-
-  core::AsyncMis async(snap, 9, /*scheduler_seed=*/13);
-  async.verify();
-  EXPECT_TRUE(oracle.mis_set() == async.mis_set());
 }
 
 TEST(Snapshot, RejectsTruncatedFiles) {
@@ -286,113 +234,243 @@ core::CascadeEngine churned_engine(NodeId n, std::uint64_t seed,
   return engine;
 }
 
-TEST(SnapshotV2, WarmStartEqualsColdRecomputeUnderContinuedChurn) {
-  std::unique_ptr<workload::ChurnGenerator> gen;
-  core::CascadeEngine source = churned_engine(350, 51, /*priority_seed=*/7,
-                                              /*extra_ops=*/900, gen);
-  TempFile file("v2_equiv.snap");
-  std::string error;
-  ASSERT_TRUE(core::save_snapshot(source, file.path, &error)) << error;
+// ---------------------------------------------------------------------------
+// The engine × source × load-mode × file-version matrix. Every engine starts
+// from the same (graph, priority keys, membership) triple whatever the
+// source; each cell must land on greedy_mis of its own keys, agree bit for
+// bit with a CascadeEngine reference (a kColdKeys twin when the cell adopts
+// the persisted keys, a fresh-draw twin otherwise) and keep agreeing, op by
+// op, under continued churn. Key-adopting requests on a graph-only (v1) file
+// must die naming it.
+// ---------------------------------------------------------------------------
 
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path, &error)) << error;
-  ASSERT_TRUE(snap.has_engine_state());
-  ASSERT_TRUE(snap.verify(&error)) << error;  // fixpoint deep-check
-  EXPECT_EQ(snap.mis_size(), source.mis_size());
-  EXPECT_EQ(snap.priority_seed(), 7u);
+enum class Eng : std::uint8_t { kCascade, kLockFree, kDist, kAsync };
+enum class Src : std::uint8_t { kGraph, kLoad, kSplit, kBorrow };
 
-  // Warm twin trusts the persisted state; the cold twin recomputes the
-  // greedy MIS from the same persisted keys. They must be identical now and
-  // stay identical (against each other AND the original engine) under
-  // further mixed churn — including fresh priority draws, which all three
-  // take from the same seed and an unconsumed RNG.
-  core::CascadeEngine warm(snap, 7, graph::SnapshotLoad::kWarm);
-  core::CascadeEngine cold(snap, 7, graph::SnapshotLoad::kColdKeys);
-  EXPECT_EQ(warm.mis_size(), cold.mis_size());
-  EXPECT_TRUE(warm.membership() == cold.membership());
-  EXPECT_TRUE(warm.membership() == source.membership());
-  warm.verify();
-  // "Zero greedy-recompute work" made falsifiable: any priority draw during
-  // construction would have advanced the restored generator past the
-  // persisted state (and both engines must agree with the original's RNG,
-  // which is how the continued-churn draws below line up).
-  const util::Rng::State warm_rng = warm.priorities().rng_state();
-  const util::Rng::State source_rng = source.priorities().rng_state();
-  EXPECT_TRUE(std::equal(warm_rng.begin(), warm_rng.end(), snap.engine_ext().rng_state));
-  EXPECT_TRUE(warm_rng == source_rng);
-  EXPECT_TRUE(cold.priorities().rng_state() == source_rng);
-  // The adopted seed keeps re-saved metadata honest: a warm engine saved
-  // again persists the seed that actually produced its key/RNG stream.
-  EXPECT_EQ(warm.priorities().seed(), snap.priority_seed());
+struct Cell {
+  Eng engine;
+  Src source;
+  graph::SnapshotLoad mode;
+  int version;
+};
 
-  for (int i = 0; i < 800; ++i) {
-    const workload::GraphOp op = gen->next();
-    workload::apply(source, op);
-    workload::apply(warm, op);
-    workload::apply(cold, op);
-    ASSERT_EQ(warm.last_report().adjustments, source.last_report().adjustments)
-        << "warm twin diverged from the saved engine at op " << i;
-    ASSERT_EQ(cold.last_report().adjustments, source.last_report().adjustments)
-        << "cold twin diverged from the saved engine at op " << i;
+/// One source engine with real history, saved as v1 / v2 / v3, plus the
+/// continuation ops every cell replays. Built once per process.
+struct MatrixCorpus {
+  static constexpr std::uint64_t kSourceSeed = 7;  // persisted priority seed
+  static constexpr std::uint64_t kCellSeed = 11;   // the seed each cell passes
+
+  MatrixCorpus() : v1("matrix_v1.snap"), v2("matrix_v2.snap"), v3("matrix_v3.snap") {
+    std::unique_ptr<workload::ChurnGenerator> gen;
+    const core::CascadeEngine source =
+        churned_engine(160, 61, kSourceSeed, /*extra_ops=*/400, gen);
+    EXPECT_TRUE(source.graph().save(v1.path));
+    EXPECT_TRUE(core::save_snapshot(source, v2.path));
+    EXPECT_TRUE(core::save_snapshot_sharded(source, v3.path, 4));
+    for (int i = 0; i < 120; ++i) ops.push_back(gen->next());
   }
-  EXPECT_TRUE(warm.graph() == source.graph());
-  EXPECT_TRUE(warm.membership() == source.membership());
-  EXPECT_TRUE(cold.membership() == source.membership());
-  warm.verify();
-  cold.verify();
+  [[nodiscard]] const std::string& path(int version) const {
+    return version == 1 ? v1.path : version == 2 ? v2.path : v3.path;
+  }
+
+  TempFile v1, v2, v3;
+  std::vector<workload::GraphOp> ops;
+};
+
+const MatrixCorpus& matrix_corpus() {
+  static const MatrixCorpus corpus;
+  return corpus;
 }
 
-TEST(SnapshotV2, AllFourEnginesWarmStartAndTrackAColdTwin) {
-  std::unique_ptr<workload::ChurnGenerator> gen;
-  core::CascadeEngine source = churned_engine(250, 61, /*priority_seed=*/11,
-                                              /*extra_ops=*/600, gen);
-  TempFile file("v2_all.snap");
+std::shared_ptr<const Snapshot> open_shared(const std::string& path) {
+  auto snap = std::make_shared<Snapshot>();
   std::string error;
-  ASSERT_TRUE(core::save_snapshot(source, file.path, &error)) << error;
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path, &error)) << error;
+  EXPECT_TRUE(snap->open(path, &error)) << error;
+  return snap;
+}
 
-  // kAuto on a v2 snapshot warm-starts every engine flavor.
-  core::CascadeEngine warm_cascade(snap, 11);
-  core::CascadeEngine warm_batched(snap, 11);  // fed through apply_batch
-  core::DistMis warm_dist(snap, 11);
-  core::AsyncMis warm_async(snap, 11, /*scheduler_seed=*/13);
-  core::CascadeEngine cold(snap, 11, graph::SnapshotLoad::kColdKeys);
+/// Build the engine under test from the cell's source; `make` receives the
+/// constructor arguments (the engine-specific tail is its business).
+template <typename Engine, typename Make>
+std::unique_ptr<Engine> build_engine(const Cell& cell, Make make) {
+  const std::uint64_t seed = MatrixCorpus::kCellSeed;
+  const auto snap = open_shared(matrix_corpus().path(cell.version));
+  switch (cell.source) {
+    case Src::kGraph:
+      return make(DynamicGraph::load(*snap), seed);
+    case Src::kLoad:
+      return make(*snap, seed, cell.mode);
+    case Src::kSplit:
+      return make(DynamicGraph::load(*snap), *snap, seed, cell.mode);
+    case Src::kBorrow:
+      return make(snap, seed, cell.mode);
+  }
+  return nullptr;
+}
 
-  const auto expect_all_equal_cold = [&](int step) {
-    cold.graph().for_each_node([&](NodeId v) {
-      const bool want = cold.in_mis(v);
-      ASSERT_EQ(warm_cascade.in_mis(v), want) << "cascade, step " << step;
-      ASSERT_EQ(warm_batched.in_mis(v), want) << "batched, step " << step;
-      ASSERT_EQ(warm_dist.in_mis(v), want) << "dist, step " << step;
-      ASSERT_EQ(warm_async.in_mis(v), want) << "async, step " << step;
-    });
-  };
-  expect_all_equal_cold(-1);
-  warm_dist.verify();   // distributed warm starts must be born stable
-  warm_async.verify();
+/// Replay the corpus ops on `engine` beside `twin`, comparing adjustments op
+/// by op and membership at the end.
+template <typename Engine, typename Apply>
+void track_twin(Engine& engine, core::CascadeEngine& twin, Apply apply_op) {
+  for (std::size_t i = 0; i < matrix_corpus().ops.size(); ++i) {
+    const workload::GraphOp& op = matrix_corpus().ops[i];
+    workload::apply(twin, op);
+    ASSERT_EQ(apply_op(engine, op, i), twin.last_report().adjustments) << "op " << i;
+  }
+}
 
+template <typename Engine>
+void expect_fixpoint_of_own_keys(const Engine& engine, const core::CascadeEngine& twin,
+                                 const char* when) {
+  core::PriorityMap keys = engine.priorities();
+  const core::Membership oracle = core::greedy_mis(engine.graph(), keys);
+  ASSERT_TRUE(engine.graph() == twin.graph()) << when;
+  engine.graph().for_each_node([&](NodeId v) {
+    ASSERT_EQ(engine.in_mis(v), oracle[v] != 0) << when << ": node " << v;
+    ASSERT_EQ(engine.in_mis(v), twin.in_mis(v)) << when << ": node " << v;
+  });
+  EXPECT_TRUE(engine.priorities().rng_state() == twin.priorities().rng_state()) << when;
+}
+
+class SnapshotMatrix : public ::testing::TestWithParam<Cell> {
+ protected:
+  template <typename Engine, typename Make, typename Apply>
+  void run(Make make, Apply apply_op) {
+    const Cell cell = GetParam();
+    const MatrixCorpus& corpus = matrix_corpus();
+    const bool adopts_keys =
+        cell.source != Src::kGraph &&
+        (cell.mode == graph::SnapshotLoad::kWarm ||
+         cell.mode == graph::SnapshotLoad::kColdKeys ||
+         (cell.mode == graph::SnapshotLoad::kAuto && cell.version >= 2));
+    if (adopts_keys && cell.version == 1) {
+      EXPECT_DEATH((void)build_engine<Engine>(cell, make), "graph-only");
+      return;
+    }
+    const std::unique_ptr<Engine> engine = build_engine<Engine>(cell, make);
+    ASSERT_NE(engine, nullptr);
+    Snapshot snap;
+    ASSERT_TRUE(snap.open(corpus.path(cell.version)));
+    core::CascadeEngine twin =
+        adopts_keys ? core::CascadeEngine(snap, MatrixCorpus::kCellSeed,
+                                          graph::SnapshotLoad::kColdKeys)
+                    : core::CascadeEngine(DynamicGraph::load(snap), MatrixCorpus::kCellSeed);
+    if (adopts_keys) {
+      // A continuation, not a reseed: the saved seed and generator state.
+      EXPECT_EQ(engine->priorities().seed(), MatrixCorpus::kSourceSeed);
+      const util::Rng::State rng = engine->priorities().rng_state();
+      EXPECT_TRUE(std::equal(rng.begin(), rng.end(), snap.engine_ext().rng_state));
+    }
+    EXPECT_EQ(engine->graph().borrowed(), cell.source == Src::kBorrow);
+    expect_fixpoint_of_own_keys(*engine, twin, "at start");
+    track_twin(*engine, twin, apply_op);
+    expect_fixpoint_of_own_keys(*engine, twin, "after churn");
+    engine->verify();
+  }
+};
+
+/// Sequential engines report through last_report(); the cascade also takes
+/// every other op as a one-op apply_batch, so the batch path is in the matrix.
+template <typename Engine>
+std::uint64_t apply_sequential(Engine& engine, const workload::GraphOp& op, std::size_t) {
+  workload::apply(engine, op);
+  return engine.last_report().adjustments;
+}
+
+std::uint64_t apply_cascade(core::CascadeEngine& engine, const workload::GraphOp& op,
+                            std::size_t i) {
+  if (i % 2 == 0) return apply_sequential(engine, op, i);
   core::Batch batch;
-  for (int i = 0; i < 250; ++i) {
-    const workload::GraphOp op = gen->next();
-    workload::apply(cold, op);
-    workload::apply(warm_cascade, op);
-    batch.clear();
-    workload::append_op(batch, op);
-    const core::BatchResult br = core::apply_batch(warm_batched, batch);
-    const workload::CostSample ds = workload::apply_with_cost(warm_dist, op);
-    const workload::CostSample as = workload::apply_with_cost(warm_async, op);
-    const std::uint64_t want = cold.last_report().adjustments;
-    ASSERT_EQ(warm_cascade.last_report().adjustments, want) << "op " << i;
-    ASSERT_EQ(br.report.adjustments, want) << "op " << i;
-    ASSERT_EQ(ds.cost.adjustments, want) << "op " << i;
-    ASSERT_EQ(as.cost.adjustments, want) << "op " << i;
-  }
-  expect_all_equal_cold(250);
-  warm_dist.verify();
-  warm_async.verify();
-  warm_batched.verify();
+  workload::append_op(batch, op);
+  return core::apply_batch(engine, batch).report.adjustments;
 }
+
+template <typename Engine>
+std::uint64_t apply_distributed(Engine& engine, const workload::GraphOp& op, std::size_t) {
+  return workload::apply_with_cost(engine, op).cost.adjustments;
+}
+
+TEST_P(SnapshotMatrix, StartsOnTheFixpointAndTracksItsTwin) {
+  if ((GetParam().engine == Eng::kDist || GetParam().engine == Eng::kAsync) &&
+      GetParam().source == Src::kSplit)
+    GTEST_SKIP() << "the distributed drivers have no split constructor yet";
+  switch (GetParam().engine) {
+    case Eng::kCascade:
+      run<core::CascadeEngine>(
+          [](auto&&... args) {
+            return std::make_unique<core::CascadeEngine>(
+                std::forward<decltype(args)>(args)...);
+          },
+          apply_cascade);
+      break;
+    case Eng::kLockFree:
+      run<core::LockFreeEngine>(
+          [](auto&&... args) {
+            return std::make_unique<core::LockFreeEngine>(
+                std::forward<decltype(args)>(args)...);
+          },
+          apply_sequential<core::LockFreeEngine>);
+      break;
+    case Eng::kDist:
+      run<core::DistMis>(
+          [](auto&&... args) -> std::unique_ptr<core::DistMis> {
+            if constexpr (sizeof...(args) == 4) {
+              return nullptr;  // no split constructor yet
+            } else {
+              return std::make_unique<core::DistMis>(
+                  std::forward<decltype(args)>(args)...);
+            }
+          },
+          apply_distributed<core::DistMis>);
+      break;
+    case Eng::kAsync:
+      run<core::AsyncMis>(
+          [](auto&&... args) -> std::unique_ptr<core::AsyncMis> {
+            auto tuple = std::forward_as_tuple(std::forward<decltype(args)>(args)...);
+            constexpr std::size_t n = sizeof...(args);
+            if constexpr (n == 2) {
+              return std::make_unique<core::AsyncMis>(std::get<0>(tuple), std::get<1>(tuple),
+                                                      /*scheduler_seed=*/13);
+            } else if constexpr (n == 3) {
+              return std::make_unique<core::AsyncMis>(std::get<0>(tuple), std::get<1>(tuple),
+                                                      13, 8, std::get<2>(tuple));
+            } else {
+              return nullptr;  // no split constructor yet
+            }
+          },
+          apply_distributed<core::AsyncMis>);
+      break;
+  }
+}
+
+std::vector<Cell> matrix_cells() {
+  std::vector<Cell> cells;
+  for (const Eng engine : {Eng::kCascade, Eng::kLockFree, Eng::kDist, Eng::kAsync})
+    for (const int version : {1, 2, 3}) {
+      // A graph carries no persisted state, so the mode axis collapses there.
+      cells.push_back({engine, Src::kGraph, graph::SnapshotLoad::kCold, version});
+      for (const Src source : {Src::kLoad, Src::kSplit, Src::kBorrow})
+        for (const auto mode : {graph::SnapshotLoad::kAuto, graph::SnapshotLoad::kCold,
+                                graph::SnapshotLoad::kColdKeys,
+                                graph::SnapshotLoad::kWarm})
+          cells.push_back({engine, source, mode, version});
+    }
+  return cells;
+}
+
+std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
+  static const char* const kEngines[] = {"Cascade", "LockFree", "Dist", "Async"};
+  static const char* const kSources[] = {"Graph", "Load", "Split", "Borrow"};
+  static const char* const kModes[] = {"Auto", "Cold", "ColdKeys", "Warm"};
+  const Cell& c = info.param;
+  return std::string(kEngines[static_cast<int>(c.engine)]) +
+         kSources[static_cast<int>(c.source)] + kModes[static_cast<int>(c.mode)] + "V" +
+         std::to_string(c.version);
+}
+
+INSTANTIATE_TEST_SUITE_P(EngineSourceModeFile, SnapshotMatrix,
+                         ::testing::ValuesIn(matrix_cells()), cell_name);
+
 
 TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
   // Engine state saved from any engine flavor warm-starts any other: the
@@ -421,23 +499,6 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
     EXPECT_TRUE(warm.mis_set() == oracle.mis_set()) << tag;
     warm.verify();
   }
-}
-
-TEST(SnapshotV2, V1FilesStillColdStartUnderAuto) {
-  const DynamicGraph g = churned_graph(180, 81);
-  TempFile file("v2_v1auto.snap");
-  ASSERT_TRUE(g.save(file.path));
-  Snapshot snap;
-  ASSERT_TRUE(snap.open(file.path));
-  EXPECT_FALSE(snap.has_engine_state());
-  // kAuto on a v1 file is exactly the historical cold path.
-  const core::CascadeEngine from_snap(snap, 23);
-  const core::CascadeEngine direct(g, 23);
-  EXPECT_TRUE(from_snap.mis_set() == direct.mis_set());
-  // An explicit warm request on a graph-only file is a caller bug and must
-  // fail loudly, not silently cold-start.
-  EXPECT_DEATH(core::CascadeEngine(snap, 23, graph::SnapshotLoad::kWarm),
-               "graph-only");
 }
 
 TEST(Snapshot, ChecksumCatchesPayloadBitFlips) {
