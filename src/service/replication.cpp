@@ -181,7 +181,7 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   ++stats_.chunks_accepted;
 
   if (is_checkpoint && shipment.file_size > 0 && sink_have_ >= shipment.file_size) {
-    // Complete: durability before visibility, then the atomic rename.
+    // Complete: durability, then validation, then the atomic rename.
     const std::string path = sink_path_;
     const std::string final_path = checkpoint_path(dir_, shipment.id);
     std::string publish_error;
@@ -191,9 +191,14 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
     sink_.reset();
     sink_path_.clear();
     sink_have_ = 0;
+    if (ok) {
+      graph::Snapshot staged;
+      ok = open_checkpoint(path, staged, &publish_error);
+    }
     ok = ok && util::atomic_publish(path, final_path, &publish_error);
     if (!ok) {
-      // Failed publish: scrap the partial and ask for a clean re-ship.
+      // Corrupt in transit or failed publish: scrap the partial and ask
+      // for a clean re-ship.
       ++stats_.receive_errors;
       std::remove(path.c_str());
       return {0};
@@ -202,6 +207,16 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
     return {have_now};
   }
   return {sink_have_};
+}
+
+bool FollowerService::open_checkpoint(const std::string& path, graph::Snapshot& snapshot,
+                                      std::string* error) const {
+  if (!snapshot.open(path, error, options_.force_read)) return false;
+  if (!snapshot.has_engine_state()) {
+    set_error(error, path + ": no engine state (v1)");
+    return false;
+  }
+  return !options_.verify_checkpoint_checksum || snapshot.verify(error);
 }
 
 const std::vector<SegmentInfo>& FollowerService::local_segments() {
@@ -223,10 +238,8 @@ bool FollowerService::try_rewarm(std::string* error) {
     if (engine_.has_value() && it->lsn <= applied_lsn_) break;
     graph::Snapshot snapshot;
     std::string cp_error;
-    bool good = snapshot.open(it->path, &cp_error, options_.force_read);
-    good = good && snapshot.has_engine_state();
-    good = good && (!options_.verify_checkpoint_checksum || snapshot.verify(&cp_error));
-    if (!good) continue;  // like recovery: try the next-newest
+    if (!open_checkpoint(it->path, snapshot, &cp_error))
+      continue;  // like recovery: try the next-newest
     engine_.emplace(snapshot, snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
     applied_lsn_ = it->lsn;
     checkpoint_lsn_ = it->lsn;

@@ -163,7 +163,8 @@ struct FollowerStats {
   std::uint64_t rewarms = 0;  ///< checkpoint jumps (incl. the initial warm start)
   std::uint64_t records_applied = 0;
   std::uint64_t ops_applied = 0;
-  std::uint64_t receive_errors = 0;  ///< local write failures (fault seam)
+  std::uint64_t receive_errors = 0;  ///< local write failures (fault seam) and
+                                     ///< completed checkpoints that failed validation
   std::uint64_t dir_scans = 0;  ///< local segment/checkpoint listings
 };
 
@@ -181,8 +182,9 @@ class FollowerService {
   FollowerService& operator=(FollowerService&&) = default;
 
   /// Persist one shipment per the resume protocol; always returns the
-  /// authoritative `have` for the shipped file (0 on local write failure,
-  /// forcing a clean re-ship).
+  /// authoritative `have` for the shipped file (0 on local write failure
+  /// or on a completed checkpoint that fails validation, forcing a clean
+  /// re-ship).
   ShipAck receive(const Shipment& shipment);
 
   /// Make progress applying local bytes: initialize the engine if possible
@@ -214,6 +216,12 @@ class FollowerService {
   [[nodiscard]] std::string target_path(const Shipment& shipment) const;
   bool ensure_sink(const Shipment& shipment, std::uint64_t* have);
   void drop_sink();
+  /// Open `path` as a checkpoint this follower may warm-start from: it
+  /// opens, carries engine state, and passes the deep verify unless
+  /// verify_checkpoint_checksum is off. Staging (receive) and try_rewarm
+  /// both apply it, so only an adoptable checkpoint is ever published.
+  bool open_checkpoint(const std::string& path, graph::Snapshot& snapshot,
+                       std::string* error) const;
   /// Warm-start (or jump) from the newest published checkpoint with
   /// lsn > applied_lsn_, if any. True if the engine moved. Lists the
   /// checkpoints only on the first call and after a publish: nothing else

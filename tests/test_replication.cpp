@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -237,6 +238,93 @@ TEST(Replication, CheckpointShipsAndWarmStartsFollower) {
   ASSERT_TRUE(recovered.has_value()) << error;
   expect_same(*recovered, reference(batches, batches.size(), 7),
               "recovery of follower dir");
+}
+
+/// Flips one bit in the first checkpoint chunk past the snapshot header it
+/// carries, once, and records what the follower answered when that corrupt
+/// file completed.
+class BitFlipTransport final : public service::ShipmentTransport {
+ public:
+  BitFlipTransport(service::ShipmentTransport* inner, std::string follower_dir)
+      : inner_(inner), follower_dir_(std::move(follower_dir)) {}
+
+  std::optional<service::ShipAck> deliver(const service::Shipment& shipment) override {
+    const bool checkpoint = shipment.kind == service::Shipment::Kind::kCheckpoint;
+    if (!flipped_ && checkpoint && shipment.offset >= 4096 && !shipment.bytes.empty()) {
+      service::Shipment bad = shipment;
+      bad.bytes[bad.bytes.size() / 2] ^= 0x10;
+      flipped_ = true;
+      corrupt_id_ = shipment.id;
+      return record(bad, inner_->deliver(bad));
+    }
+    return record(shipment, inner_->deliver(shipment));
+  }
+
+  bool flipped_ = false;
+  std::uint64_t corrupt_id_ = 0;
+  /// The ack for the chunk that completed the corrupt file, and whether the
+  /// checkpoint was visible right after it.
+  std::optional<std::uint64_t> corrupt_completion_have_;
+  bool published_corrupt_ = false;
+
+ private:
+  std::optional<service::ShipAck> record(const service::Shipment& shipment,
+                                         std::optional<service::ShipAck> ack) {
+    const bool completes = shipment.offset + shipment.bytes.size() >= shipment.file_size;
+    if (flipped_ && !corrupt_completion_have_.has_value() &&
+        shipment.kind == service::Shipment::Kind::kCheckpoint &&
+        shipment.id == corrupt_id_ && completes && ack.has_value()) {
+      corrupt_completion_have_ = ack->have;
+      published_corrupt_ = std::filesystem::exists(
+          service::checkpoint_path(follower_dir_, shipment.id));
+    }
+    return ack;
+  }
+
+  service::ShipmentTransport* inner_;
+  std::string follower_dir_;
+};
+
+TEST(Replication, CorruptShippedCheckpointIsRejectedThenReshipped) {
+  TempDir leader_dir("flip_leader");
+  TempDir follower_dir("flip_follower");
+  std::string error;
+
+  // As in CheckpointShipsAndWarmStartsFollower: truncation leaves the
+  // follower no base segment, so it can only start from a shipped checkpoint.
+  ServiceConfig config = leader_config(leader_dir.path);
+  config.checkpoint_interval_ops = 600;
+  auto leader = MisService::open(config, &error);
+  ASSERT_TRUE(leader.has_value()) << error;
+  const auto batches = make_stream(509, 2500, 8);
+  for (const core::Batch& batch : batches) ASSERT_TRUE(leader->apply(batch, &error));
+  ASSERT_GT(leader->last_checkpoint_lsn(), 0U);
+
+  auto follower = FollowerService::open(follower_dir.path, follower_options(), &error);
+  ASSERT_TRUE(follower.has_value()) << error;
+  DirectTransport direct(&*follower);
+  BitFlipTransport transport(&direct, follower_dir.path);
+  LogShipperOptions ship_options;
+  ship_options.chunk_bytes = 4096;
+  LogShipper shipper(leader_dir.path, &transport, ship_options);
+  shipper.attach_durable_cursor(&*leader);
+  settle(shipper, *follower);
+
+  ASSERT_TRUE(transport.flipped_);
+  ASSERT_TRUE(transport.corrupt_completion_have_.has_value());
+  EXPECT_EQ(*transport.corrupt_completion_have_, 0U)
+      << "a corrupt completed checkpoint must be acked have = 0";
+  EXPECT_FALSE(transport.published_corrupt_)
+      << "a corrupt completed checkpoint must not be published";
+  EXPECT_GE(follower->stats().receive_errors, 1U);
+
+  // The clean re-ship publishes, and the follower warm-starts exactly.
+  EXPECT_TRUE(std::filesystem::exists(
+      service::checkpoint_path(follower_dir.path, transport.corrupt_id_)));
+  ASSERT_TRUE(follower->has_engine());
+  EXPECT_EQ(follower->applied_lsn(), leader->lsn());
+  expect_same(follower->engine(), reference(batches, batches.size(), 7),
+              "after a corrupt checkpoint was re-shipped");
 }
 
 TEST(Replication, BothEndsRestartAndResumeFromHave) {
