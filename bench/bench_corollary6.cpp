@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     OnlineStats async_rounds;
     OnlineStats async_adjustments;
     for (int t = 0; t < trials; ++t) {
-      core::AsyncMis mis(g, 57 + static_cast<std::uint64_t>(t) * 11,
+      core::AsyncMis mis(core::EngineCore(g, 57 + static_cast<std::uint64_t>(t) * 11),
                          991 + static_cast<std::uint64_t>(t), max_delay);
       const graph::NodeId u = static_cast<graph::NodeId>(t * 3) % n;
       const graph::NodeId v = (u + 2) % n;

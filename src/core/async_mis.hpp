@@ -22,8 +22,8 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
+#include <utility>
 
 #include "core/neighbor_view.hpp"
 #include "core/network_driver.hpp"
@@ -109,30 +109,12 @@ class AsyncMis : public NetworkDriver<sim::AsyncNetwork, AsyncMisProtocol> {
   using Base = NetworkDriver<sim::AsyncNetwork, AsyncMisProtocol>;
   using Base::ChangeResult;
 
-  AsyncMis(std::uint64_t priority_seed, std::uint64_t scheduler_seed,
-           std::uint64_t max_delay = 8)
-      : Base(priority_seed, scheduler_seed, max_delay) {}
-
-  AsyncMis(const graph::DynamicGraph& g, std::uint64_t priority_seed,
-           std::uint64_t scheduler_seed, std::uint64_t max_delay = 8)
-      : Base(priority_seed, scheduler_seed, max_delay) {
-    init_stable(g);
-  }
-
-  /// Start from a binary snapshot (graph/snapshot.hpp); defined in
-  /// async_mis.cpp to keep the snapshot header out of this one. A v2
-  /// snapshot warm-starts by default — persisted keys + membership are
-  /// installed into every view with no greedy recompute and no priority
-  /// draws; see CascadeEngine's snapshot ctor for the mode rules.
-  AsyncMis(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-           std::uint64_t scheduler_seed, std::uint64_t max_delay = 8,
-           graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot start: the logical graph reads the mapping in
-  /// place (DynamicGraph::borrow) and the communication twin shares it.
-  AsyncMis(std::shared_ptr<const graph::Snapshot> snapshot, std::uint64_t priority_seed,
-           std::uint64_t scheduler_seed, std::uint64_t max_delay = 8,
-           graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
+  /// Start stable from `core` (core/engine_core.hpp): a cold start's
+  /// greedy MIS or a snapshot's persisted fixpoint, installed into every
+  /// view with no communication charged. The scheduler draws message delays
+  /// in [1, max_delay] from `scheduler_seed`.
+  AsyncMis(EngineCore core, std::uint64_t scheduler_seed, std::uint64_t max_delay = 8)
+      : Base(std::move(core), scheduler_seed, max_delay) {}
 
   ChangeResult insert_edge(NodeId u, NodeId v);
   ChangeResult remove_edge(NodeId u, NodeId v);

@@ -3,87 +3,22 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/greedy_mis.hpp"
 #include "core/invariant.hpp"
-#include "graph/snapshot.hpp"
 
 namespace dmis::core {
 
-CascadeEngine::CascadeEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed)
-    : g_(g), priorities_(priority_seed) {
-  init_mis();
-}
-
-CascadeEngine::CascadeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed)
-    : g_(std::move(g)), priorities_(priority_seed) {
-  init_mis();
-}
-
-CascadeEngine::CascadeEngine(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                             graph::SnapshotLoad mode)
-    : g_(graph::DynamicGraph::load(snapshot)), priorities_(priority_seed) {
-  adopt_snapshot_state(snapshot, mode);
-}
-
-CascadeEngine::CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                             std::uint64_t priority_seed, graph::SnapshotLoad mode)
-    : g_(std::move(g)), priorities_(priority_seed) {
-  adopt_snapshot_state(snapshot, mode);
-}
-
-CascadeEngine::CascadeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
-                             std::uint64_t priority_seed, graph::SnapshotLoad mode)
-    : priorities_(priority_seed) {
-  // The reference stays valid across the move: the snapshot object is owned
-  // by the shared_ptr, which the borrowed graph keeps alive.
-  const graph::Snapshot& s = *snapshot;
-  g_ = graph::DynamicGraph::borrow(std::move(snapshot));
-  adopt_snapshot_state(s, mode);
-}
-
-void CascadeEngine::adopt_snapshot_state(const graph::Snapshot& snapshot,
-                                         graph::SnapshotLoad mode) {
-  if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                    "warm start requested from a graph-only (v1) snapshot");
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-    init_warm(snapshot);
-    return;
-  }
-  if (mode == graph::SnapshotLoad::kColdKeys) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                    "kColdKeys requested from a graph-only (v1) snapshot");
-    // Pin the persisted permutation, then recompute: greedy_mis's ensure()
-    // calls see every id assigned and draw nothing, so this engine and a
-    // warm-started twin share both the key array and the future RNG stream.
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-  }
-  init_mis();
-}
-
-void CascadeEngine::init_mis() {
-  state_ = greedy_mis(g_, priorities_);
+CascadeEngine::CascadeEngine(EngineCore core)
+    : g_(std::move(core.graph)),
+      priorities_(std::move(core.priorities)),
+      state_(std::move(core.membership)),
+      mis_size_(core.mis_size) {
   grow_node_arrays();
-  for (NodeId v = 0; v < state_.size(); ++v) {
-    mis_size_ += state_[v];
-    hot_[v].state = state_[v];
-  }
-}
-
-void CascadeEngine::init_warm(const graph::Snapshot& snapshot) {
-  const auto member = snapshot.membership_bytes();
-  const auto keys = snapshot.priority_keys();
-  state_.assign(member.begin(), member.end());
-  mis_size_ = static_cast<std::size_t>(snapshot.mis_size());  // validated on open
-  grow_node_arrays();
-  // One streaming pass fills the hot table from the mapped sections; marking
-  // the key mirror in sync here means the first cascade skips the O(n)
-  // version-resync rescan too — a warm start performs no per-node work
-  // beyond these bulk copies.
+  // One streaming pass fills the hot table; marking the key mirror in sync
+  // here means the first cascade skips the O(n) version-resync rescan too,
+  // so a warm start performs no per-node work beyond bulk copies.
+  const auto keys = priorities_.raw_keys();
   for (NodeId v = 0; v < hot_.size(); ++v) {
-    hot_[v].key = keys[v];
+    hot_[v].key = v < keys.size() ? keys[v] : 0;
     hot_[v].state = state_[v];
   }
   key_version_seen_ = priorities_.version();

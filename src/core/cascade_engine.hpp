@@ -45,12 +45,14 @@
 // maintained eagerly alongside hot_[v].state; verify() cross-checks the two.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/engine_core.hpp"
 #include "core/membership.hpp"
 #include "core/priority.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -68,44 +70,16 @@ struct UpdateReport {
 
 class CascadeEngine {
  public:
-  explicit CascadeEngine(std::uint64_t priority_seed) : priorities_(priority_seed) {}
+  /// Adopt a start state (core/engine_core.hpp) and build the hot table.
+  explicit CascadeEngine(EngineCore core);
 
-  /// Build from an existing graph (initial MIS computed from scratch; the
-  /// initial computation is not an "update" and produces no report).
-  CascadeEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed);
-  CascadeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed);
-
-  /// Build from a binary snapshot (graph/snapshot.hpp): the graph arrives
-  /// via DynamicGraph::load's bulk path instead of edge-by-edge rebuild.
-  /// With `mode` kAuto (default) a v2 snapshot warm-starts — persisted
-  /// priority keys and membership are bulk-loaded and the greedy recompute
-  /// is skipped entirely (zero priority draws, zero cascade work; the
-  /// persisted membership is the unique greedy fixpoint of the persisted
-  /// keys, which dmis_snapshot verify deep-checks) — while a v1 snapshot
-  /// cold-starts exactly as before. kColdKeys adopts the persisted keys but
-  /// recomputes the MIS: its result must equal the warm start bit for bit,
-  /// which the warm-vs-cold equivalence tests pin. `priority_seed` feeds
-  /// the RNG for *future* draws in every mode.
-  CascadeEngine(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// As above, but the graph is supplied by the caller — pre-materialized
-  /// with DynamicGraph::load or borrowed with DynamicGraph::borrow — while
-  /// `snapshot` provides the engine-state sections. RecoveryManager uses
-  /// this split to time graph acquisition separately from engine warm-up.
-  /// `snapshot` must be the same snapshot the graph came from.
-  CascadeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                std::uint64_t priority_seed,
-                graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot constructor: the engine's graph reads the
-  /// mapped snapshot in place (zero-copy; DynamicGraph::borrow), so
-  /// construction is ~O(id_bound) for the warm bulk copies instead of
-  /// O(n + m) materialization, and clean graph regions page in on demand.
-  /// Shares ownership of the snapshot so the mapping outlives the engine.
-  CascadeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
-                std::uint64_t priority_seed,
-                graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
+  /// Every EngineCore source — a seed, a graph, a snapshot (materialized,
+  /// split or borrowed) with its load mode — builds the engine directly:
+  /// CascadeEngine(g, seed), CascadeEngine(snapshot, seed, mode), ...
+  template <typename... Args>
+    requires std::constructible_from<EngineCore, Args...>
+  explicit CascadeEngine(Args&&... args)
+      : CascadeEngine(EngineCore(std::forward<Args>(args)...)) {}
 
   NodeId add_node(std::span<const NodeId> neighbors = {});
   NodeId add_node(std::initializer_list<NodeId> neighbors) {
@@ -173,18 +147,6 @@ class CascadeEngine {
     std::uint32_t visited = 0;  // epoch stamp; == epoch_ → done this cascade
     std::uint8_t state = 0;     // mirror of state_ (eagerly maintained)
   };
-
-  /// Shared tail of the snapshot constructors, run after g_ is in place:
-  /// dispatch the SnapshotLoad mode (warm adopt / cold-keys / cold).
-  void adopt_snapshot_state(const graph::Snapshot& snapshot,
-                            graph::SnapshotLoad mode);
-  /// Shared tail of the from-graph constructors: compute the initial greedy
-  /// MIS for g_ and size the hot arrays.
-  void init_mis();
-  /// Warm-start tail: adopt the snapshot's membership + key sections
-  /// verbatim (bulk copies only — no priority hashing, no greedy pass, no
-  /// cascade) and leave the key mirror marked in sync.
-  void init_warm(const graph::Snapshot& snapshot);
 
   [[nodiscard]] bool eval(NodeId v) const;
   /// Repair pass over seeds_ (callers fill seeds_, then call cascade()).

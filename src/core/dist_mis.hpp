@@ -22,10 +22,11 @@
 // per-op vector copies, and steady-state changes allocate nothing.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
+#include <utility>
 
 #include "core/mis_protocol.hpp"
 #include "core/network_driver.hpp"
@@ -43,26 +44,16 @@ class DistMis : public NetworkDriver<sim::SyncNetwork, MisProtocol> {
   using Base = NetworkDriver<sim::SyncNetwork, MisProtocol>;
   using Base::ChangeResult;
 
-  explicit DistMis(std::uint64_t seed) : Base(seed) {}
+  /// Start stable from `core` (core/engine_core.hpp): a cold start's
+  /// greedy MIS or a snapshot's persisted fixpoint, installed into every
+  /// protocol view with no communication charged.
+  explicit DistMis(EngineCore core) : Base(std::move(core)) {}
 
-  /// Start from an existing stable graph (stable-start assumption).
-  DistMis(const graph::DynamicGraph& g, std::uint64_t seed) : Base(seed) {
-    init_stable(g);
-  }
-
-  /// Start from a binary snapshot (graph/snapshot.hpp): the stable-start
-  /// graph arrives via DynamicGraph::load's bulk path (defined in
-  /// dist_mis.cpp to keep the snapshot header out of this one). A v2
-  /// snapshot warm-starts by default — persisted keys + membership are
-  /// installed into every protocol view with no greedy recompute and no
-  /// priority draws; see CascadeEngine's snapshot ctor for the mode rules.
-  DistMis(const graph::Snapshot& snapshot, std::uint64_t seed,
-          graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
-
-  /// Borrowed-mode snapshot start: the logical graph reads the mapping in
-  /// place (DynamicGraph::borrow) and the communication twin shares it.
-  DistMis(std::shared_ptr<const graph::Snapshot> snapshot, std::uint64_t seed,
-          graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto);
+  /// Every EngineCore source builds the driver directly: DistMis(seed),
+  /// DistMis(g, seed), DistMis(snapshot, seed, mode), ...
+  template <typename... Args>
+    requires std::constructible_from<EngineCore, Args...>
+  explicit DistMis(Args&&... args) : DistMis(EngineCore(std::forward<Args>(args)...)) {}
 
   ChangeResult insert_edge(NodeId u, NodeId v);
   ChangeResult remove_edge(NodeId u, NodeId v,

@@ -36,7 +36,7 @@ std::vector<bool> replay_membership(const workload::Trace& trace, std::uint64_t 
     }
     case EnginePath::kDistributedAsync: {
       // Scheduler seed derived from the priority seed: delays vary per trial.
-      AsyncMis engine(seed, seed ^ 0x5bf0'3635'ce88'9facULL);
+      AsyncMis engine(EngineCore(seed), seed ^ 0x5bf0'3635'ce88'9facULL);
       workload::replay(engine, trace);
       std::vector<bool> out(engine.graph().id_bound(), false);
       for (const NodeId v : engine.graph().nodes()) out[v] = engine.in_mis(v);

@@ -4,9 +4,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/greedy_mis.hpp"
 #include "core/invariant.hpp"
-#include "graph/snapshot.hpp"
 #include "util/assert.hpp"
 
 namespace dmis::core {
@@ -20,121 +18,21 @@ namespace {
 
 }  // namespace
 
-LockFreeEngine::LockFreeEngine(std::uint64_t priority_seed, unsigned workers)
-    : priorities_(priority_seed),
-      workers_(resolve_workers(workers)),
-      pool_(workers_ - 1),
-      scratch_(workers_) {}
-
-LockFreeEngine::LockFreeEngine(const graph::DynamicGraph& g,
-                               std::uint64_t priority_seed, unsigned workers)
-    : g_(g),
-      priorities_(priority_seed),
+LockFreeEngine::LockFreeEngine(EngineCore core, unsigned workers)
+    : g_(std::move(core.graph)),
+      priorities_(std::move(core.priorities)),
+      state_(std::move(core.membership)),
+      mis_size_(core.mis_size),
       workers_(resolve_workers(workers)),
       pool_(workers_ - 1),
       scratch_(workers_) {
-  init_mis();
-}
-
-LockFreeEngine::LockFreeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed,
-                               unsigned workers)
-    : g_(std::move(g)),
-      priorities_(priority_seed),
-      workers_(resolve_workers(workers)),
-      pool_(workers_ - 1),
-      scratch_(workers_) {
-  init_mis();
-}
-
-LockFreeEngine::LockFreeEngine(const graph::Snapshot& snapshot,
-                               std::uint64_t priority_seed, graph::SnapshotLoad mode,
-                               unsigned workers)
-    : g_(graph::DynamicGraph::load(snapshot)),
-      priorities_(priority_seed),
-      workers_(resolve_workers(workers)),
-      pool_(workers_ - 1),
-      scratch_(workers_) {
-  adopt_snapshot_state(snapshot, mode);
-}
-
-LockFreeEngine::LockFreeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                               std::uint64_t priority_seed, graph::SnapshotLoad mode,
-                               unsigned workers)
-    : g_(std::move(g)),
-      priorities_(priority_seed),
-      workers_(resolve_workers(workers)),
-      pool_(workers_ - 1),
-      scratch_(workers_) {
-  adopt_snapshot_state(snapshot, mode);
-}
-
-LockFreeEngine::LockFreeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
-                               std::uint64_t priority_seed, graph::SnapshotLoad mode,
-                               unsigned workers)
-    : priorities_(priority_seed),
-      workers_(resolve_workers(workers)),
-      pool_(workers_ - 1),
-      scratch_(workers_) {
-  // The reference stays valid across the move: the snapshot object is owned
-  // by the shared_ptr, which the borrowed graph keeps alive.
-  const graph::Snapshot& s = *snapshot;
-  g_ = graph::DynamicGraph::borrow(std::move(snapshot));
-  adopt_snapshot_state(s, mode);
-}
-
-void LockFreeEngine::adopt_snapshot_state(const graph::Snapshot& snapshot,
-                                          graph::SnapshotLoad mode) {
-  if (graph::snapshot_load_warm(mode, snapshot.has_engine_state())) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                    "warm start requested from a graph-only (v1) snapshot");
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-    init_warm(snapshot);
-    return;
-  }
-  if (mode == graph::SnapshotLoad::kColdKeys) {
-    DMIS_ASSERT_MSG(snapshot.has_engine_state(),
-                    "kColdKeys requested from a graph-only (v1) snapshot");
-    priorities_.bulk_load(snapshot.priority_keys(), snapshot.engine_ext().rng_state,
-                          snapshot.priority_seed());
-  }
-  init_mis();
-}
-
-void LockFreeEngine::init_mis() {
-  state_ = greedy_mis(g_, priorities_);
   grow_node_arrays();
-  for (NodeId v = 0; v < state_.size(); ++v) {
-    mis_size_ += state_[v];
+  // One serial pass fills the key mirror and settles every status word;
+  // the mirror is then in sync, so the first repair skips the resync scan.
+  const auto keys = priorities_.raw_keys();
+  for (NodeId v = 0; v < g_.id_bound(); ++v) {
+    keys_[v] = v < keys.size() ? keys[v] : 0;
     settle_word(v, state_[v] != 0);
-  }
-}
-
-void LockFreeEngine::init_warm(const graph::Snapshot& snapshot) {
-  const auto member = snapshot.membership_bytes();
-  const auto keys = snapshot.priority_keys();
-  state_.assign(member.begin(), member.end());
-  mis_size_ = static_cast<std::size_t>(snapshot.mis_size());  // validated on open
-  grow_node_arrays();
-  // Bulk-fill the key mirror and the settled status words from the mapped
-  // sections. A shard-partitioned (v3) snapshot turns this into a parallel
-  // bulk load: each worker claim adopts one disjoint node range, the ranges
-  // being exactly the section boundaries the writer recorded. Serial
-  // otherwise (v1/v2, or a single-worker engine).
-  const auto fill = [&](NodeId begin, NodeId end) {
-    for (NodeId v = begin; v < end; ++v) {
-      keys_[v] = keys[v];
-      words_[v].store(pack(0, 0, 0, 0, member[v] != 0 ? kStIn : kStOut),
-                      std::memory_order_relaxed);
-    }
-  };
-  const std::uint32_t shards = snapshot.shard_count();
-  if (shards > 1 && workers_ > 1) {
-    pool_.run_indexed(shards, [&](unsigned s) {
-      fill(snapshot.shard_begin(s), snapshot.shard_end(s));
-    });
-  } else {
-    fill(0, g_.id_bound());
   }
   key_version_seen_ = priorities_.version();
 }

@@ -55,11 +55,10 @@
 // the sole readiness authority, so transient counter lag cannot strand a
 // node or corrupt a decision.
 //
-// The engine carries the full contract of its four siblings: span /
+// The engine carries the full contract of its siblings: span /
 // initializer_list topology APIs, UpdateReport with the paper's adjustment
-// measure, snapshot constructors (materialized and borrowed
-// shared_ptr<const Snapshot>; kWarm / kAuto / kColdKeys / kCold), verify(),
-// and epoch debug hooks. All repair scratch (status words, counters, work
+// measure, every EngineCore start (graph or snapshot, materialized, split or
+// borrowed, under every load mode), verify(), and epoch debug hooks. All repair scratch (status words, counters, work
 // stack, per-worker touched lists) is hoisted into the engine, so steady
 // state updates perform zero heap allocations end to end; with
 // worker_count == 1 the same loop runs inline on the caller with no pool
@@ -69,13 +68,16 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cascade_engine.hpp"  // UpdateReport
+#include "core/engine_core.hpp"
 #include "core/membership.hpp"
 #include "core/priority.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -96,33 +98,18 @@ class LockFreeEngine {
 #endif
   }
 
-  explicit LockFreeEngine(std::uint64_t priority_seed, unsigned workers = 0);
+  /// Adopt a start state (core/engine_core.hpp) and build the key mirror
+  /// and the settled status words; `workers` 0 means default_workers().
+  explicit LockFreeEngine(EngineCore core, unsigned workers = 0);
 
-  /// Build from an existing graph (initial MIS computed from scratch).
-  LockFreeEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed,
-                 unsigned workers = 0);
-  LockFreeEngine(graph::DynamicGraph&& g, std::uint64_t priority_seed,
-                 unsigned workers = 0);
-
-  /// Build from a binary snapshot; same mode semantics as CascadeEngine.
-  /// A v3 (shard-partitioned) snapshot's warm bulk copies run on the
-  /// engine's workers, one shard range per worker claim.
-  LockFreeEngine(const graph::Snapshot& snapshot, std::uint64_t priority_seed,
-                 graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto,
-                 unsigned workers = 0);
-
-  /// Caller-supplied graph + engine-state snapshot (the RecoveryManager
-  /// split); `snapshot` must be the graph's source.
-  LockFreeEngine(graph::DynamicGraph&& g, const graph::Snapshot& snapshot,
-                 std::uint64_t priority_seed,
-                 graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto,
-                 unsigned workers = 0);
-
-  /// Borrowed-mode snapshot constructor (zero-copy graph base).
-  LockFreeEngine(std::shared_ptr<const graph::Snapshot> snapshot,
-                 std::uint64_t priority_seed,
-                 graph::SnapshotLoad mode = graph::SnapshotLoad::kAuto,
-                 unsigned workers = 0);
+  /// Every EngineCore source builds the engine directly with the default
+  /// worker count: LockFreeEngine(g, seed), LockFreeEngine(snapshot, seed,
+  /// mode), ... A worker count goes through the core:
+  /// LockFreeEngine(EngineCore(g, seed), 4).
+  template <typename... Args>
+    requires std::constructible_from<EngineCore, Args...>
+  explicit LockFreeEngine(Args&&... args)
+      : LockFreeEngine(EngineCore(std::forward<Args>(args)...)) {}
 
   NodeId add_node(std::span<const NodeId> neighbors = {});
   NodeId add_node(std::initializer_list<NodeId> neighbors) {
@@ -188,11 +175,6 @@ class LockFreeEngine {
     std::vector<NodeId> touched;  // nodes this worker first-marked
     std::uint64_t evaluated = 0;
   };
-
-  void adopt_snapshot_state(const graph::Snapshot& snapshot,
-                            graph::SnapshotLoad mode);
-  void init_mis();
-  void init_warm(const graph::Snapshot& snapshot);
 
   void grow_node_arrays();
   /// Settle v's word outside any repair (construction / deletions).

@@ -4,15 +4,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/greedy_mis.hpp"
 #include "core/invariant.hpp"
 
 namespace dmis::core {
-
-TemplateEngine::TemplateEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed)
-    : g_(g), priorities_(priority_seed) {
-  state_ = greedy_mis(g_, priorities_);
-}
 
 bool TemplateEngine::eval(NodeId v) const {
   for (const NodeId u : g_.neighbors(v))

@@ -30,11 +30,14 @@
 // production path; the two are cross-checked by tests.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/engine_core.hpp"
 #include "core/membership.hpp"
 #include "core/priority.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -59,10 +62,19 @@ struct TemplateReport {
 
 class TemplateEngine {
  public:
-  explicit TemplateEngine(std::uint64_t priority_seed) : priorities_(priority_seed) {}
+  /// Adopt a start state (core/engine_core.hpp); a graph's nodes get
+  /// priorities drawn in id order.
+  explicit TemplateEngine(EngineCore core)
+      : g_(std::move(core.graph)),
+        priorities_(std::move(core.priorities)),
+        state_(std::move(core.membership)) {}
 
-  /// Build from an existing graph (nodes get priorities drawn in id order).
-  TemplateEngine(const graph::DynamicGraph& g, std::uint64_t priority_seed);
+  /// Every EngineCore source builds the engine directly: TemplateEngine(seed),
+  /// TemplateEngine(g, seed), ...
+  template <typename... Args>
+    requires std::constructible_from<EngineCore, Args...>
+  explicit TemplateEngine(Args&&... args)
+      : TemplateEngine(EngineCore(std::forward<Args>(args)...)) {}
 
   /// Insert a fresh isolated-or-connected node; report via last_report().
   NodeId add_node(std::span<const NodeId> neighbors = {});

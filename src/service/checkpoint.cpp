@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <system_error>
 
+#include "core/engine_snapshot.hpp"
 #include "service/wal.hpp"
 #include "util/assert.hpp"
 #include "util/binary_io.hpp"  // set_error

@@ -23,7 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "core/engine_snapshot.hpp"
+#include "core/cascade_engine.hpp"
+#include "util/fault_file.hpp"  // util::FileFactory
 
 namespace dmis::service {
 

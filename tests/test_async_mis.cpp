@@ -21,7 +21,7 @@ class AsyncMisParam
 TEST_P(AsyncMisParam, ChurnMatchesOracleUnderDelays) {
   const auto [seed, max_delay] = GetParam();
   dmis::util::Rng rng(seed);
-  AsyncMis mis(DynamicGraph(12), seed * 3 + 1, seed ^ 0xbeef, max_delay);
+  AsyncMis mis(EngineCore(DynamicGraph(12), seed * 3 + 1), seed ^ 0xbeef, max_delay);
   for (int step = 0; step < 60; ++step) {
     const double roll = rng.real01();
     const auto live = mis.graph().nodes();
@@ -61,7 +61,7 @@ TEST(AsyncMis, CausalDepthConstantOnAverage) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     dmis::util::Rng rng(seed + 3);
     const auto g = dmis::graph::random_avg_degree(120, 6.0, rng);
-    AsyncMis mis(g, seed * 5 + 2, seed ^ 0xf00d, 8);
+    AsyncMis mis(EngineCore(g, seed * 5 + 2), seed ^ 0xf00d, 8);
     const NodeId u = static_cast<NodeId>(rng.below(120));
     const NodeId v = static_cast<NodeId>(rng.below(120));
     if (u == v || mis.graph().has_edge(u, v)) continue;
@@ -77,7 +77,7 @@ TEST(AsyncMis, CausalDepthConstantOnAverage) {
 }
 
 TEST(AsyncMis, IsolatedInsertJoinsImmediately) {
-  AsyncMis mis(7, 8);
+  AsyncMis mis(EngineCore(7), 8);
   const auto result = mis.insert_node({});
   EXPECT_TRUE(mis.in_mis(result.node));
   EXPECT_EQ(result.cost.adjustments, 1U);
@@ -88,7 +88,7 @@ TEST(AsyncMis, JoinWaitsForAllIntroductions) {
   // A node attaching to many neighbors settles exactly once (no transient
   // flip storm): adjustments ≤ 1 + neighbors that had to step down.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    AsyncMis mis(DynamicGraph(8), seed, seed + 1, 16);
+    AsyncMis mis(EngineCore(DynamicGraph(8), seed), seed + 1, 16);
     std::vector<NodeId> all;
     for (NodeId v = 0; v < 8; ++v) all.push_back(v);
     const auto result = mis.insert_node(all);
@@ -102,7 +102,7 @@ TEST(AsyncMis, JoinWaitsForAllIntroductions) {
 
 TEST(AsyncMis, DeterministicGivenSeeds) {
   auto run = [] {
-    AsyncMis mis(DynamicGraph(6), 11, 13, 8);
+    AsyncMis mis(EngineCore(DynamicGraph(6), 11), 13, 8);
     mis.insert_edge(0, 1);
     mis.insert_edge(1, 2);
     mis.remove_edge(0, 1);

@@ -129,7 +129,7 @@ TEST(DistAlloc, SteadyStateNodeRemovalDoesNotAllocate) {
 
 TEST(DistAlloc, SteadyStateAsyncChurnIsAllocationFree) {
   const NodeId n = 64;
-  core::AsyncMis mis(warm_graph(n, 6.0, 6), 17, 0xbeef, 8);
+  core::AsyncMis mis(core::EngineCore(warm_graph(n, 6.0, 6), 17), 0xbeef, 8);
 
   util::Rng rng(19);
   // Warm-up: event-queue high-water mark, flat link clocks for every

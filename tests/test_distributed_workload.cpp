@@ -67,7 +67,7 @@ TEST(DistributedWorkload, StreamChurnKeepsEngineAndGeneratorInLockstep) {
 TEST(DistributedWorkload, AsyncStreamMatchesOracle) {
   util::Rng rng(13);
   const auto g = graph::random_avg_degree(30, 4.0, rng);
-  core::AsyncMis mis(g, 5, 0xfeed, 8);
+  core::AsyncMis mis(core::EngineCore(g, 5), 0xfeed, 8);
   workload::ChurnGenerator gen(g, workload::ChurnConfig{}, 23);
 
   workload::stream_churn(mis, gen, 100, [](const CostSample& s) {

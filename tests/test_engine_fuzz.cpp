@@ -150,7 +150,7 @@ bool run_trace_case(const char* regime_name, const graph::DynamicGraph& g0,
   core::CascadeEngine cascade(g0, prio_seed);
   core::CascadeEngine batched(g0, prio_seed);
   core::DistMis dist(g0, prio_seed);
-  core::AsyncMis async(g0, prio_seed, /*scheduler_seed=*/seed + 5);
+  core::AsyncMis async(core::EngineCore(g0, prio_seed), /*scheduler_seed=*/seed + 5);
   core::LockFreeEngine lockfree(g0, prio_seed);
 
   workload::Trace applied;

@@ -26,7 +26,7 @@ TEST(Integration, FourEnginesAgreeUnderHeavyChurn) {
   core::CascadeEngine cascade(seed);
   core::TemplateEngine tmpl(seed);
   core::DistMis dist(seed);
-  core::AsyncMis async(seed, 4242, 6);
+  core::AsyncMis async(core::EngineCore(seed), 4242, 6);
   workload::Trace bootstrap;
   for (int i = 0; i < 15; ++i) bootstrap.push_back(workload::GraphOp::add_node());
   for (const auto& op : bootstrap) {

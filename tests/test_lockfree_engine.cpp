@@ -186,7 +186,7 @@ TEST(LockFreeEngine, FourThreadStressMatchesOracle) {
     const graph::DynamicGraph g0 = graph::random_avg_degree(150, 8.0, rng);
     const std::uint64_t prio_seed = seed * 1000 + 17;
     CascadeEngine cascade(g0, prio_seed);
-    LockFreeEngine threaded(g0, prio_seed, /*workers=*/4);
+    LockFreeEngine threaded(EngineCore(g0, prio_seed), /*workers=*/4);
     EXPECT_EQ(threaded.worker_count(), 4U);
     workload::ChurnConfig config;
     config.p_abrupt = 0.5;

@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -289,23 +288,21 @@ std::shared_ptr<const Snapshot> open_shared(const std::string& path) {
   return snap;
 }
 
-/// Build the engine under test from the cell's source; `make` receives the
-/// constructor arguments (the engine-specific tail is its business).
-template <typename Engine, typename Make>
-std::unique_ptr<Engine> build_engine(const Cell& cell, Make make) {
+/// The start state the cell's source yields; the engine under test adopts it.
+core::EngineCore build_core(const Cell& cell) {
   const std::uint64_t seed = MatrixCorpus::kCellSeed;
   const auto snap = open_shared(matrix_corpus().path(cell.version));
   switch (cell.source) {
     case Src::kGraph:
-      return make(DynamicGraph::load(*snap), seed);
+      return core::EngineCore(DynamicGraph::load(*snap), seed);
     case Src::kLoad:
-      return make(*snap, seed, cell.mode);
+      return core::EngineCore(*snap, seed, cell.mode);
     case Src::kSplit:
-      return make(DynamicGraph::load(*snap), *snap, seed, cell.mode);
+      return core::EngineCore(DynamicGraph::load(*snap), *snap, seed, cell.mode);
     case Src::kBorrow:
-      return make(snap, seed, cell.mode);
+      break;
   }
-  return nullptr;
+  return core::EngineCore(snap, seed, cell.mode);
 }
 
 /// Replay the corpus ops on `engine` beside `twin`, comparing adjustments op
@@ -344,11 +341,10 @@ class SnapshotMatrix : public ::testing::TestWithParam<Cell> {
          cell.mode == graph::SnapshotLoad::kColdKeys ||
          (cell.mode == graph::SnapshotLoad::kAuto && cell.version >= 2));
     if (adopts_keys && cell.version == 1) {
-      EXPECT_DEATH((void)build_engine<Engine>(cell, make), "graph-only");
+      EXPECT_DEATH((void)build_core(cell), "graph-only");
       return;
     }
-    const std::unique_ptr<Engine> engine = build_engine<Engine>(cell, make);
-    ASSERT_NE(engine, nullptr);
+    const std::unique_ptr<Engine> engine = make(build_core(cell));
     Snapshot snap;
     ASSERT_TRUE(snap.open(corpus.path(cell.version)));
     core::CascadeEngine twin =
@@ -390,55 +386,29 @@ std::uint64_t apply_distributed(Engine& engine, const workload::GraphOp& op, std
   return workload::apply_with_cost(engine, op).cost.adjustments;
 }
 
+/// The engine-specific half of construction: everything else is the core.
+template <typename Engine, typename... Tail>
+auto adopt(Tail... tail) {
+  return [=](core::EngineCore core) {
+    return std::make_unique<Engine>(std::move(core), tail...);
+  };
+}
+
 TEST_P(SnapshotMatrix, StartsOnTheFixpointAndTracksItsTwin) {
-  if ((GetParam().engine == Eng::kDist || GetParam().engine == Eng::kAsync) &&
-      GetParam().source == Src::kSplit)
-    GTEST_SKIP() << "the distributed drivers have no split constructor yet";
   switch (GetParam().engine) {
     case Eng::kCascade:
-      run<core::CascadeEngine>(
-          [](auto&&... args) {
-            return std::make_unique<core::CascadeEngine>(
-                std::forward<decltype(args)>(args)...);
-          },
-          apply_cascade);
+      run<core::CascadeEngine>(adopt<core::CascadeEngine>(), apply_cascade);
       break;
     case Eng::kLockFree:
-      run<core::LockFreeEngine>(
-          [](auto&&... args) {
-            return std::make_unique<core::LockFreeEngine>(
-                std::forward<decltype(args)>(args)...);
-          },
-          apply_sequential<core::LockFreeEngine>);
+      run<core::LockFreeEngine>(adopt<core::LockFreeEngine>(),
+                                apply_sequential<core::LockFreeEngine>);
       break;
     case Eng::kDist:
-      run<core::DistMis>(
-          [](auto&&... args) -> std::unique_ptr<core::DistMis> {
-            if constexpr (sizeof...(args) == 4) {
-              return nullptr;  // no split constructor yet
-            } else {
-              return std::make_unique<core::DistMis>(
-                  std::forward<decltype(args)>(args)...);
-            }
-          },
-          apply_distributed<core::DistMis>);
+      run<core::DistMis>(adopt<core::DistMis>(), apply_distributed<core::DistMis>);
       break;
     case Eng::kAsync:
-      run<core::AsyncMis>(
-          [](auto&&... args) -> std::unique_ptr<core::AsyncMis> {
-            auto tuple = std::forward_as_tuple(std::forward<decltype(args)>(args)...);
-            constexpr std::size_t n = sizeof...(args);
-            if constexpr (n == 2) {
-              return std::make_unique<core::AsyncMis>(std::get<0>(tuple), std::get<1>(tuple),
-                                                      /*scheduler_seed=*/13);
-            } else if constexpr (n == 3) {
-              return std::make_unique<core::AsyncMis>(std::get<0>(tuple), std::get<1>(tuple),
-                                                      13, 8, std::get<2>(tuple));
-            } else {
-              return nullptr;  // no split constructor yet
-            }
-          },
-          apply_distributed<core::AsyncMis>);
+      run<core::AsyncMis>(adopt<core::AsyncMis>(std::uint64_t{13}),
+                          apply_distributed<core::AsyncMis>);
       break;
   }
 }
@@ -477,7 +447,7 @@ TEST(SnapshotV2, CrossEngineSaveAndWarmStartInterchange) {
   // persisted keys + membership are the complete, engine-agnostic state.
   const DynamicGraph g = churned_graph(220, 71);
   core::DistMis dist(g, 17);
-  core::AsyncMis async(g, 17, /*scheduler_seed=*/3);
+  core::AsyncMis async(core::EngineCore(g, 17), /*scheduler_seed=*/3);
   const core::CascadeEngine oracle(g, 17);
 
   for (const auto& [tag, save] :

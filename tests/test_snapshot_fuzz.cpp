@@ -28,6 +28,7 @@
 
 #include "core/cascade_engine.hpp"
 #include "core/engine_snapshot.hpp"
+#include "core/lockfree_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/snapshot.hpp"
 #include "util/binary_io.hpp"
@@ -152,12 +153,11 @@ void exercise(const std::string& path, std::uint64_t engine_seed) {
     const core::CascadeEngine warm(snap, engine_seed, graph::SnapshotLoad::kWarm);
     EXPECT_EQ(warm.mis_size(), static_cast<std::size_t>(snap.mis_size()));
     if (verified) warm.verify();
-    // The lock-free engine's warm start consumes the same sections through
-    // the shard table (validated at open, so its ranges are in bounds on
-    // any accepted file) with parallel loaders — it must digest whatever
-    // the cascade digested and land on the identical membership.
-    const core::LockFreeEngine parallel(snap, engine_seed,
-                                        graph::SnapshotLoad::kWarm, /*workers=*/2);
+    // The lock-free engine builds its own mirrors (key array, status words)
+    // from the same warm start — it must digest whatever the cascade
+    // digested and land on the identical membership.
+    const core::LockFreeEngine parallel(
+        core::EngineCore(snap, engine_seed, graph::SnapshotLoad::kWarm), /*workers=*/2);
     EXPECT_EQ(parallel.membership(), warm.membership());
     if (verified) parallel.verify();
   } else if (verified) {

@@ -68,7 +68,7 @@ TEST(Trace, AllEnginePathsAcceptTheSameTrace) {
   dmis::core::CascadeEngine cascade(3);
   dmis::core::TemplateEngine tmpl(3);
   dmis::core::DistMis dist(3);
-  dmis::core::AsyncMis async(3, 99);
+  dmis::core::AsyncMis async(dmis::core::EngineCore(3), 99);
   replay(cascade, trace);
   replay(tmpl, trace);
   replay(dist, trace);
