@@ -74,6 +74,10 @@ Tolerances (CI's contract — change them here, not in the workflow):
   a fixed 128-byte extension), so the ratio must stay within the
   intrinsic V3_WARM_NOISE_BAR of 1.0 — checked even under
   --deterministic-only — plus the usual reference band.
+  snapshot_bytes and trace_bytes are the writer's output for a fixed seed,
+  so they are work, not time: gated at DETERMINISTIC_TOLERANCE against the
+  reference, also under --deterministic-only; --self-test injects a
+  snapshot_bytes-only change and requires the gate to catch it.
 
 * oom — the beyond-RAM cells (bench_oom: one materialized, one borrowed,
   both under a heap cap smaller than the snapshot). The claim is intrinsic
@@ -168,6 +172,9 @@ REPLICATION_STAGE_FIELDS = ("ship_us_per_batch", "poll_us_per_batch")
 STAGE_GRACE_US = 1.0
 # --self-test injects a 2x regression into this one column alone per kind.
 SINGLE_STAGE_INJECTIONS = {"snapshot": "verify_s", "replication": "poll_us_per_batch"}
+# Deterministic columns whose change alone must fail the gate, also under
+# --deterministic-only (a 10% move is twice DETERMINISTIC_TOLERANCE).
+DETERMINISTIC_INJECTIONS = {"snapshot": "snapshot_bytes"}
 
 
 def close(candidate, reference, tolerance, absolute=1e-3):
@@ -437,6 +444,12 @@ def check_snapshot(candidate, reference, tolerance, deterministic_only):
             continue
         matched += 1
         cell_failures = []
+        for field in ("snapshot_bytes", "trace_bytes"):
+            if field in row and field in base and not close(
+                    row[field], base[field], DETERMINISTIC_TOLERANCE):
+                cell_failures.append(
+                    f"n={key}: {field} {row[field]} vs reference {base[field]} "
+                    f"— deterministic quantity moved (> {DETERMINISTIC_TOLERANCE:.0%})")
         got, want = row["engine_warm_s"], base["engine_warm_s"]
         if not deterministic_only and got > want * (1.0 + tolerance):
             cell_failures.append(
@@ -837,6 +850,18 @@ def main():
                 print(f"FAIL: gate did not catch the injected {field} regression")
                 return 1
             print(f"self-test OK: injected {field} regression was caught")
+        field = DETERMINISTIC_INJECTIONS.get(candidate.get("bench"))
+        if field is not None and any(field in r for r in candidate["results"]):
+            print(f"--- self-test: injecting a 10% {field} change alone ---")
+            regressed = copy.deepcopy(candidate)
+            for row in regressed["results"]:
+                if field in row:
+                    row[field] = int(row[field] * 1.1)
+            if run_gate(regressed, candidate, args.tolerance,
+                        args.deterministic_only) == 0:
+                print(f"FAIL: gate did not catch the injected {field} change")
+                return 1
+            print(f"self-test OK: injected {field} change was caught")
     return 0
 
 

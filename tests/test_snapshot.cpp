@@ -306,7 +306,7 @@ core::EngineCore build_core(const Cell& cell) {
 }
 
 /// Replay the corpus ops on `engine` beside `twin`, comparing adjustments op
-/// by op and membership at the end.
+/// by op.
 template <typename Engine, typename Apply>
 void track_twin(Engine& engine, core::CascadeEngine& twin, Apply apply_op) {
   for (std::size_t i = 0; i < matrix_corpus().ops.size(); ++i) {
