@@ -177,7 +177,7 @@ const char* Snapshot::linear_pass_error() const noexcept {
   return nullptr;
 }
 
-bool Snapshot::verify(std::string* error) const {
+bool Snapshot::verify_checksum(std::string* error) const {
   if (!is_open()) {
     set_error(error, "snapshot is not open");
     return false;
@@ -188,6 +188,11 @@ bool Snapshot::verify(std::string* error) const {
     set_error(error, "payload checksum mismatch (corrupt snapshot)");
     return false;
   }
+  return true;
+}
+
+bool Snapshot::verify(std::string* error) const {
+  if (!verify_checksum(error)) return false;
   // A shallow open skipped the linear pass, and the walks below index
   // through CSR offsets and neighbor ids: prove them in bounds first.
   if (!deep_validated_) {

@@ -272,6 +272,12 @@ class Snapshot {
   /// actually describes an undirected graph (+ a valid engine state).
   [[nodiscard]] bool verify(std::string* error = nullptr) const;
 
+  /// The first step of verify() alone: the payload checksum, one pass over
+  /// the bytes with no per-node or per-edge work. With open()'s structural
+  /// validation it catches what a copy can corrupt (a flipped or torn
+  /// byte); it does not prove the data describes an undirected graph.
+  [[nodiscard]] bool verify_checksum(std::string* error = nullptr) const;
+
  private:
   /// open()'s per-node/per-entry validation pass (everything kShallow
   /// skips): nullptr when the structure is sound, else the rejection

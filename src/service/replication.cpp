@@ -193,7 +193,7 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
     sink_have_ = 0;
     if (ok) {
       graph::Snapshot staged;
-      ok = open_checkpoint(path, staged, &publish_error);
+      ok = open_checkpoint(path, CheckpointCheck::kStaged, staged, &publish_error);
     }
     ok = ok && util::atomic_publish(path, final_path, &publish_error);
     if (!ok) {
@@ -209,14 +209,16 @@ ShipAck FollowerService::receive(const Shipment& shipment) {
   return {sink_have_};
 }
 
-bool FollowerService::open_checkpoint(const std::string& path, graph::Snapshot& snapshot,
-                                      std::string* error) const {
+bool FollowerService::open_checkpoint(const std::string& path, CheckpointCheck check,
+                                      graph::Snapshot& snapshot, std::string* error) const {
   if (!snapshot.open(path, error, options_.force_read)) return false;
   if (!snapshot.has_engine_state()) {
     set_error(error, path + ": no engine state (v1)");
     return false;
   }
-  return !options_.verify_checkpoint_checksum || snapshot.verify(error);
+  if (!options_.verify_checkpoint_checksum) return true;
+  return check == CheckpointCheck::kStaged ? snapshot.verify_checksum(error)
+                                           : snapshot.verify(error);
 }
 
 const std::vector<SegmentInfo>& FollowerService::local_segments() {
@@ -238,7 +240,7 @@ bool FollowerService::try_rewarm(std::string* error) {
     if (engine_.has_value() && it->lsn <= applied_lsn_) break;
     graph::Snapshot snapshot;
     std::string cp_error;
-    if (!open_checkpoint(it->path, snapshot, &cp_error))
+    if (!open_checkpoint(it->path, CheckpointCheck::kAdopt, snapshot, &cp_error))
       continue;  // like recovery: try the next-newest
     engine_.emplace(snapshot, snapshot.priority_seed(), graph::SnapshotLoad::kWarm);
     applied_lsn_ = it->lsn;

@@ -216,12 +216,19 @@ class FollowerService {
   [[nodiscard]] std::string target_path(const Shipment& shipment) const;
   bool ensure_sink(const Shipment& shipment, std::uint64_t* have);
   void drop_sink();
-  /// Open `path` as a checkpoint this follower may warm-start from: it
-  /// opens, carries engine state, and passes the deep verify unless
-  /// verify_checkpoint_checksum is off. Staging (receive) and try_rewarm
-  /// both apply it, so only an adoptable checkpoint is ever published.
-  bool open_checkpoint(const std::string& path, graph::Snapshot& snapshot,
-                       std::string* error) const;
+  /// How much of a checkpoint open_checkpoint proves. kStaged (receive,
+  /// before publishing): what a copy can corrupt — structure and the
+  /// payload checksum, one pass over the bytes. kAdopt (try_rewarm, before
+  /// warm-starting): the deep verify, as recovery runs it. Every shipped
+  /// checkpoint is staged on the service path, while few are adopted, so
+  /// the per-edge walk is paid only by the checkpoints the engine loads.
+  enum class CheckpointCheck : std::uint8_t { kStaged, kAdopt };
+  /// Open `path` as a checkpoint this follower may publish or warm-start
+  /// from: it opens (structural validation), carries engine state, and
+  /// passes `check` unless verify_checkpoint_checksum is off. Staging and
+  /// try_rewarm both apply it, so a corrupt shipment is never published.
+  bool open_checkpoint(const std::string& path, CheckpointCheck check,
+                       graph::Snapshot& snapshot, std::string* error) const;
   /// Warm-start (or jump) from the newest published checkpoint with
   /// lsn > applied_lsn_, if any. True if the engine moved. Lists the
   /// checkpoints only on the first call and after a publish: nothing else
